@@ -122,14 +122,24 @@ def _strongly_connected(ids: List[int], edges: Mapping[int, Set[int]]) -> List[L
 
 
 class CoverageGraph:
-    """Mutable coverage DAG owned by a single knowledge-base instance."""
+    """Mutable coverage DAG owned by a single knowledge-base instance.
+
+    `lengths` holds each node's description length, computed once when the
+    node enters (`rule_length`, so `length_override` wins).  `revision`
+    counts the mutations a metric can see: `insert_rule`, `remove_rule` and
+    `set_residual` each bump it, `replace_rule` does not, since protection
+    flags enter no metric.  Callers cache derived tables against the
+    revision, so every mutation must go through these methods.
+    """
 
     def __init__(self):
         self.nodes: Dict[int, Rule] = {}
+        self.lengths: Dict[int, float] = {}
         self.full: Dict[int, Set[int]] = {}
         self.reduced: Dict[int, Set[int]] = {}
         self.parents: Dict[int, Set[int]] = {}
         self.residuals: Dict[int, Dict[str, float]] = {}
+        self.revision = 0
 
     # -- construction ------------------------------------------------------
 
@@ -137,14 +147,10 @@ class CoverageGraph:
     def build(cls, working: Iterable[Rule], oracle: CoverageOracle) -> "CoverageGraph":
         g = cls()
         rules = list(working)
-        seen = set()
         for r in rules:
-            if r.id in seen:
+            if r.id in g.nodes:
                 raise GraphError(f"duplicate node id {r.id}")
-            seen.add(r.id)
-            g.nodes[r.id] = r
-            g.full[r.id] = set()
-            g.residuals[r.id] = {}
+            g._add_node(r, set())
         for general in rules:
             if general.origin == EVIDENCE:
                 continue  # evidence covers nothing
@@ -153,7 +159,7 @@ class CoverageGraph:
                     continue
                 if oracle.covers_pair(general, specific):
                     g.full[general.id].add(specific.id)
-        g._recompute_structure()
+        g._recompute_structure(sorted(g.nodes))
         return g
 
     @classmethod
@@ -169,15 +175,14 @@ class CoverageGraph:
         """
         g = cls()
         for nid, (label, length) in specs.items():
-            g.nodes[nid] = Rule(
+            rule = Rule(
                 id=nid,
                 head=Atom("node", (Compound(str(nid)),)),
                 class_label=label,
                 length_override=float(length),
                 origin=EVIDENCE if label is not None else CANDIDATE,
             )
-            g.full[nid] = set()
-            g.residuals[nid] = {}
+            g._add_node(rule, set())
         for u, v in edges:
             if u not in g.nodes or v not in g.nodes:
                 raise GraphError(f"edge ({u},{v}) references unknown node")
@@ -186,7 +191,7 @@ class CoverageGraph:
             if g.nodes[u].class_label is not None:
                 raise GraphError("class-labeled nodes must have out-degree 0")
             g.full[u].add(v)
-        g._recompute_structure()
+        g._recompute_structure(sorted(g.nodes))
         return g
 
     # -- accessors ----------------------------------------------------------
@@ -216,22 +221,14 @@ class CoverageGraph:
         if value < 0:
             raise GraphError("residuals must stay non-negative")
         self.residuals[nid][label] = value
+        self.revision += 1
 
     def node_length(self, nid: int) -> float:
-        return rule_length(self.nodes[nid])
+        return self.lengths[nid]
 
     def topological_order(self) -> List[int]:
         """Roots first; reverse it for a leaves-first sweep."""
         return _topo_order(sorted(self.nodes), self.reduced)
-
-    def ancestor_closure(self) -> Dict[int, Set[int]]:
-        """All transitive coverers per node (closure of the full relation)."""
-        closure: Dict[int, Set[int]] = {v: set() for v in self.nodes}
-        for v in self.topological_order():
-            for child in self.reduced[v]:
-                closure[child].add(v)
-                closure[child] |= closure[v]
-        return closure
 
     # -- mutation -----------------------------------------------------------
 
@@ -249,17 +246,20 @@ class CoverageGraph:
                 continue
             if oracle.covers_pair(other, rule):
                 pairs_in.add(other.id)
-        self.nodes[rule.id] = rule
-        self.full[rule.id] = pairs_out
-        self.residuals[rule.id] = {}
+        self._add_node(rule, pairs_out)
         for other_id in pairs_in:
             self.full[other_id].add(rule.id)
-        self._recompute_structure()
+        # The graph was acyclic, so a new cycle runs through this node and
+        # lies among its descendants: the only nodes a search from it visits.
+        self._recompute_structure([rule.id])
 
     def replace_rule(self, rule: Rule) -> None:
         """Swap the stored rule object (protection flips); structure unchanged."""
-        if rule.id not in self.nodes:
+        old = self.nodes.get(rule.id)
+        if old is None:
             raise GraphError(f"unknown node id {rule.id}")
+        if rule.with_protection(old.protected) != old:
+            raise GraphError(f"replace_rule may only flip protection of node {rule.id}")
         self.nodes[rule.id] = rule
 
     def remove_rule(self, nid: int) -> None:
@@ -278,7 +278,7 @@ class CoverageGraph:
             if value:
                 amounts[label] = amounts.get(label, 0.0) + value
         if not self.reduced[nid] and rule.class_label is not None:
-            amounts[rule.class_label] = amounts.get(rule.class_label, 0.0) + rule_length(rule)
+            amounts[rule.class_label] = amounts.get(rule.class_label, 0.0) + self.lengths[nid]
         if ancestors:
             share = 1.0 / len(ancestors)
             for parent in ancestors:
@@ -286,36 +286,44 @@ class CoverageGraph:
                 for label, value in amounts.items():
                     bucket[label] = bucket.get(label, 0.0) + value * share
         del self.nodes[nid]
+        del self.lengths[nid]
         del self.residuals[nid]
         del self.full[nid]
         for targets in self.full.values():
             targets.discard(nid)
-        self._recompute_structure()
+        self._recompute_structure(())  # a removal closes no cycle
 
     # -- internals -----------------------------------------------------------
 
-    def _recompute_structure(self) -> None:
-        self._repair_cycles()
+    def _add_node(self, rule: Rule, covered: Set[int]) -> None:
+        self.nodes[rule.id] = rule
+        self.lengths[rule.id] = rule_length(rule)
+        self.full[rule.id] = covered
+        self.residuals[rule.id] = {}
+
+    def _recompute_structure(self, cycle_roots: Iterable[int]) -> None:
+        self._repair_cycles(cycle_roots)
         self.reduced = transitive_reduce(self.nodes.keys(), self.full)
         self.parents = {v: set() for v in self.nodes}
         for u, targets in self.reduced.items():
             for v in targets:
                 self.parents[v].add(u)
+        self.revision += 1
 
-    def _repair_cycles(self) -> None:
-        """Break mutual-coverage cycles deterministically.
+    def _repair_cycles(self, roots: Iterable[int]) -> None:
+        """Break mutual-coverage cycles reachable from `roots` deterministically.
 
         Mutual coverage means logical equivalence; within each strongly
         connected component, nodes are ordered by (length, id) and only
         forward edges of that order survive, so the shortest rule plays the
         generalisation role.
         """
-        sccs = _strongly_connected(sorted(self.nodes), self.full)
+        sccs = _strongly_connected(list(roots), self.full)
         for comp in sccs:
             rank = {
                 nid: pos
                 for pos, nid in enumerate(
-                    sorted(comp, key=lambda n: (rule_length(self.nodes[n]), n))
+                    sorted(comp, key=lambda n: (self.lengths[n], n))
                 )
             }
             for nid in comp:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .rules import (
     EVIDENCE,
@@ -542,17 +542,24 @@ class CoverageOracle:
     """Caching front-end for pairwise coverage during graph maintenance.
 
     Verdicts are cached by canonical rule text, so re-arrivals of the same
-    clause under fresh ids stay cheap.  Derivation against evidence shares
+    clause under fresh ids stay cheap.  `keys` maps rule ids to that text
+    where the caller has already computed it; other rules are canonicalised
+    on each call.  Derivation against evidence shares
     one saturated fact store per background version; generals whose bodies
     only mention predicates no background clause can derive skip the
     saturation entirely and resolve against the raw background facts.
     """
 
-    def __init__(self, bg: Background, cfg: CoverageConfig):
+    def __init__(
+        self,
+        bg: Background,
+        cfg: CoverageConfig,
+        keys: Optional[Mapping[int, str]] = None,
+    ):
         self.bg = bg
         self.cfg = cfg
+        self.keys: Mapping[int, str] = {} if keys is None else keys
         self.warnings: List[str] = []
-        self._canon: Dict[int, str] = {}
         self._subs_cache: Dict[Tuple[str, str], bool] = {}
         self._fire_cache: Dict[Tuple[int, str, str], bool] = {}
         self._raw_store: Optional[FactStore] = None
@@ -593,11 +600,8 @@ class CoverageOracle:
         self.warnings.append(message)
 
     def canon(self, rule: Rule) -> str:
-        text = self._canon.get(rule.id)
-        if text is None:
-            text = canonical_form(rule)
-            self._canon[rule.id] = text
-        return text
+        text = self.keys.get(rule.id)
+        return canonical_form(rule) if text is None else text
 
     def _facts_only_store(self) -> FactStore:
         if self._raw_store is None:

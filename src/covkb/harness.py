@@ -18,7 +18,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +40,7 @@ from .rules import (
     BACKGROUND,
     CANDIDATE,
     EVIDENCE,
+    ORIGINS,
     Rule,
     canonical_form,
     render_rule,
@@ -469,6 +469,9 @@ def run_grid(
     """
     tasks = [(grid.base, cap, frac, rep) for cap, frac, rep in grid.cells()]
     if jobs > 1:
+        # Imported here: multiprocessing is only needed for concurrent sweeps.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_grid_cell, tasks))
     else:
@@ -542,14 +545,6 @@ def step_csv_row(log: StepLog, classes: Sequence[str]) -> List[str]:
     row.extend(_fmt(log.root_support[c]) for c in classes)
     row.append(";".join(log.warnings))
     return row
-
-
-def write_steps_csv(logs: Sequence[StepLog], classes: Sequence[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(step_csv_header(classes))
-        for log in logs:
-            writer.writerow(step_csv_row(log, classes))
 
 
 def metrics_csv_text(state: KnowledgeState) -> str:
@@ -659,6 +654,33 @@ class Snapshot:
     residuals: Dict[int, Dict[str, float]]
 
 
+def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
+    """Rule fields and residuals of a `#node` line; ValueError if malformed."""
+    fields: Dict[str, str] = {}
+    for part in line.split()[1:]:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"{part!r} is not key=value")
+        fields[key] = value
+    if "id" not in fields:
+        raise ValueError("missing id")
+    if fields.get("origin") not in ORIGINS:
+        raise ValueError(f"unknown origin {fields.get('origin')!r}")
+    residuals: Dict[str, float] = {}
+    for part in filter(None, fields.get("res", "").split(";")):
+        label, colon, value = part.partition(":")
+        if not colon:
+            raise ValueError(f"residual {part!r} is not class:value")
+        residuals[label] = float(value)
+    return dict(
+        id=int(fields["id"]),
+        origin=fields["origin"],
+        protected=fields.get("protected") == "1",
+        class_label=fields.get("class"),
+        length_override=float(fields["length"]) if "length" in fields else None,
+    ), residuals
+
+
 def load_snapshot(path: str) -> Snapshot:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -667,41 +689,28 @@ def load_snapshot(path: str) -> Snapshot:
     classes: Tuple[str, ...] = ()
     rules: List[Rule] = []
     residuals: Dict[int, Dict[str, float]] = {}
-    pending: Optional[Dict[str, str]] = None
-    for line in lines[1:]:
+    pending: Optional[Tuple[Dict[str, object], Dict[str, float]]] = None
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         if line.startswith("#classes"):
             classes = tuple(line.split()[1:])
             continue
         if line.startswith("#node"):
-            pending = dict(
-                part.split("=", 1) for part in line.split()[1:]
-            )
+            try:
+                pending = _node_header(line)
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: bad #node header: {exc}") from None
             continue
         if pending is None:
             raise ConfigError(f"clause without #node header: {line!r}")
         parsed = parse_program(line)
         if len(parsed) != 1:
             raise ConfigError(f"expected one clause, got {len(parsed)}")
-        nid = int(pending["id"])
-        rule = replace(
-            parsed[0],
-            id=nid,
-            origin=pending["origin"],
-            protected=pending.get("protected") == "1",
-            class_label=pending.get("class"),
-            length_override=(
-                float(pending["length"]) if "length" in pending else None
-            ),
-        )
+        fields, res = pending
+        rule = replace(parsed[0], **fields)
         rules.append(rule)
-        res: Dict[str, float] = {}
-        for part in pending.get("res", "").split(";"):
-            if part:
-                c, v = part.split(":", 1)
-                res[c] = float(v)
-        residuals[nid] = res
+        residuals[rule.id] = res
         pending = None
     return Snapshot(classes=classes, rules=rules, residuals=residuals)
 
@@ -741,5 +750,5 @@ def restore_state(snapshot: Snapshot, cfg: ScenarioConfig) -> KnowledgeState:
             continue
         for c, v in res.items():
             state.graph.set_residual(nid, c, v)
-    state.recompute_metrics()
+    state.ensure_metrics()
     return state

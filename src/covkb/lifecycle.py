@@ -99,6 +99,8 @@ class KnowledgeState:
         self._next_id = 1
         seed = []
         self._canonical: Dict[str, int] = {}
+        # Canonical form of each live node, computed once at ingest.
+        self._keys: Dict[int, str] = {}
         for r in b0:
             rule = replace(
                 r, id=self._fresh_id(), origin=BACKGROUND, protected=True,
@@ -108,9 +110,10 @@ class KnowledgeState:
             self._canonical[canonical_form(rule)] = rule.id
         self.b0_ids = frozenset(r.id for r in seed)
         self.background = Background(seed, version=0)
-        self.oracle = CoverageOracle(self.background, self.coverage)
+        self.oracle = CoverageOracle(self.background, self.coverage, self._keys)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None
+        self._metrics_key: Optional[Tuple[int, float]] = None
         self.step_count = 0
         self._warnings: List[str] = []
 
@@ -131,15 +134,25 @@ class KnowledgeState:
         return out
 
     def invalidate_metrics(self) -> None:
+        """Force the next `ensure_metrics` to recompute; graph mutations and
+        a new beta need no call, since they already miss the cache."""
         self.metrics = None
 
     def ensure_metrics(self) -> MetricsTable:
-        if self.metrics is None:
+        """The metrics of the current graph and policy.
+
+        The cached table is reused while `graph.revision` and the policy's
+        beta equal those it was computed at, and nothing invalidated it.
+        """
+        key = (self.graph.revision, self.policy.beta)
+        if self.metrics is None or self._metrics_key != key:
             self.metrics = compute_table(self.graph, self.policy.beta, self.classes)
+            self._metrics_key = key
         return self.metrics
 
     def recompute_metrics(self) -> MetricsTable:
-        self.metrics = None
+        """A freshly computed table; the cached one is never reused."""
+        self.invalidate_metrics()
         return self.ensure_metrics()
 
     def population(self) -> int:
@@ -169,11 +182,10 @@ class KnowledgeState:
             if key in self._canonical:
                 continue
             rule = replace(r, id=self._fresh_id(), protected=False)
+            self._keys[rule.id] = key
             self.graph.insert_rule(rule, self.oracle)
             self._canonical[key] = rule.id
             inserted.append(rule.id)
-        if inserted:
-            self.invalidate_metrics()
         return inserted
 
     # -- forgetting ----------------------------------------------------------
@@ -213,11 +225,9 @@ class KnowledgeState:
                     )
                 break
             for nid in order[:n]:
-                key = canonical_form(self.graph.nodes[nid])
                 self.graph.remove_rule(nid)
-                self._canonical.pop(key, None)
+                self._canonical.pop(self._keys.pop(nid, None), None)
                 removed.append(nid)
-            self.invalidate_metrics()
             if not self.over_capacity():
                 break
         self.ensure_metrics()
@@ -280,13 +290,12 @@ class KnowledgeState:
         arrivals = list(arrivals)
         n_examples = sum(1 for r in arrivals if r.origin == EVIDENCE)
         inserted = self.ingest(arrivals)
-        self.recompute_metrics()
         forgotten: List[int] = []
         if self.over_capacity():
             forgotten = self.forget_step()
         demoted = self.demote_pass()
         promoted = self.promote_pass()
-        table = self.recompute_metrics()
+        table = self.ensure_metrics()
 
         cons = self.consolidated_ids()
         all_ids = sorted(self.graph.nodes)

@@ -40,21 +40,19 @@ class MetricsTable:
         return sorted(self.support)
 
 
-def _node_lengths(graph: CoverageGraph, lengths: Optional[Mapping[int, float]]):
-    if lengths is not None:
-        return lengths
-    return {nid: graph.node_length(nid) for nid in graph.nodes}
-
-
 def compute_support(
     graph: CoverageGraph,
     classes: Sequence[str],
     lengths: Optional[Mapping[int, float]] = None,
+    order: Optional[Sequence[int]] = None,
 ) -> Dict[int, ClassVector]:
-    """Per-node, per-class conservative support, leaves first."""
-    lengths = _node_lengths(graph, lengths)
+    """Per-node, per-class conservative support, leaves first (over `order`,
+    the graph's topological order, when the caller already has it)."""
+    lengths = graph.lengths if lengths is None else lengths
+    if order is None:
+        order = graph.topological_order()
     support: Dict[int, ClassVector] = {}
-    for nid in reversed(graph.topological_order()):
+    for nid in reversed(order):
         rule = graph.nodes[nid]
         row = {c: graph.residual(nid, c) for c in classes}
         if not graph.suc(nid):
@@ -124,8 +122,9 @@ def compute_table(
     classes: Sequence[str],
     lengths: Optional[Mapping[int, float]] = None,
 ) -> MetricsTable:
-    lengths = _node_lengths(graph, lengths)
-    support = compute_support(graph, classes, lengths)
+    lengths = graph.lengths if lengths is None else lengths
+    order = graph.topological_order()
+    support = compute_support(graph, classes, lengths, order)
     lhat: Dict[int, ClassVector] = {}
     opt: Dict[int, ClassVector] = {}
     opt_generic: Dict[int, float] = {}
@@ -142,7 +141,7 @@ def compute_table(
     best_cov: Dict[int, ClassVector] = {
         nid: {c: NEG_INF for c in classes} for nid in graph.nodes
     }
-    for nid in graph.topological_order():
+    for nid in order:
         for child in graph.suc(nid):
             target = best_cov[child]
             mine = best_cov[nid]
@@ -189,7 +188,7 @@ def brute_force_support(
     """
     if len(graph) > size_cap:
         raise SizeCapExceeded(f"{len(graph)} nodes exceeds cap {size_cap}")
-    lengths = _node_lengths(graph, lengths)
+    lengths = graph.lengths if lengths is None else lengths
 
     def spread(start: int) -> Dict[int, float]:
         reached: Dict[int, float] = {}

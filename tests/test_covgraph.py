@@ -1,9 +1,17 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covkb.covgraph import CoverageGraph, GraphError, transitive_reduce
+from covkb.covgraph import (
+    CoverageGraph,
+    GraphError,
+    _strongly_connected,
+    transitive_reduce,
+)
 from covkb.deduce import (
     DERIVATION,
     SUBSUMPTION,
@@ -12,9 +20,10 @@ from covkb.deduce import (
     CoverageOracle,
     covers,
 )
+from covkb.lifecycle import KnowledgeState
+from covkb.metrics import compute_table
 from covkb.parser import parse_program
-from covkb.rules import EVIDENCE, Rule
-
+from covkb.rules import EVIDENCE, Rule, rule_length
 
 
 def reduce_by_edge_removal(ids, edges):
@@ -260,3 +269,71 @@ def test_insert_isolated_evidence(family):
     state.graph.insert_rule(ev, state.oracle)
     assert state.graph.anc(500) == set()
     assert state.graph.suc(500) == set()
+
+
+# Theta-equivalent clauses (the first three; the two `r` orderings) make
+# insertion close mutual-coverage cycles; background facts let some
+# candidates fire on the labelled evidence.
+POOL = parse_program(
+    "#classes + -\n#candidates\n"
+    "p(X) :- q(X).\n"
+    "p(X) :- q(X), q(Y).\n"
+    "p(Y) :- q(Y).\n"
+    "p(X) :- q(X), r(X).\n"
+    "p(X) :- r(X), q(X).\n"
+    "p(a) :- q(a).\n"
+    "p(X) :- q(X), q(Y), r(Z).\n"
+    "p(X) :- r(X).\n"
+    "#evidence +\np(a).\np(b).\n"
+    "#evidence -\np(c).\n"
+)
+POOL_BG = parse_program("q(a). q(b). r(a). r(c).")
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "remove", "residual", "protect"]),
+        st.integers(0, 1000),
+        st.floats(0.0, 10.0),
+    ),
+    max_size=25,
+)
+
+
+class TestMutationInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(OPS)
+    def test_random_mutations_keep_derived_state_exact(self, ops):
+        state = KnowledgeState(POOL_BG, ("+", "-"))
+        g, oracle = state.graph, state.oracle
+        next_id = 1000
+        for kind, pick, value in ops:
+            live = sorted(g.nodes)
+            if kind == "insert":
+                rule = POOL[pick % len(POOL)]
+                g.insert_rule(replace(rule, id=next_id), oracle)
+                next_id += 1
+            elif not live:
+                continue
+            elif kind == "remove":
+                g.remove_rule(live[pick % len(live)])
+            elif kind == "residual":
+                g.set_residual(live[pick % len(live)], ("+", "-")[pick % 2], value)
+            else:
+                rule = g.nodes[live[pick % len(live)]]
+                revision = g.revision
+                g.replace_rule(rule.with_protection(not rule.protected))
+                assert g.revision == revision
+
+            ids = sorted(g.nodes)
+            assert _strongly_connected(ids, g.full) == []
+            assert g.reduced == transitive_reduce(ids, g.full)
+            assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
+            assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
+            # local cycle repair leaves the relation a global pass would
+            assert CoverageGraph.build(g.nodes.values(), oracle).full == g.full
+            assert state.ensure_metrics() == compute_table(g, state.policy.beta, state.classes)
+
+    def test_replace_rule_only_flips_protection(self):
+        g = CoverageGraph.from_structure({1: (None, 2.0)}, [])
+        with pytest.raises(GraphError):
+            g.replace_rule(replace(g.nodes[1], class_label="+"))

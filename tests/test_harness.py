@@ -22,6 +22,7 @@ from covkb.harness import (
 )
 from covkb.covgraph import CoverageGraph
 from covkb.metrics import compute_table
+from covkb.rules import canonical_form
 
 from conftest import CHESS_DIR, FAMILY_KBR, FAMILY_SCN
 
@@ -183,10 +184,39 @@ class TestSnapshot:
         restored = restore_state(snap, cfg)
         assert restored.population() == state.population()
         assert len(restored.consolidated_ids()) == len(state.consolidated_ids())
-        # residual mass carried over exactly
-        def residual_total(s):
-            return sum(v for res in s.graph.residuals.values() for v in res.values())
-        assert residual_total(restored) == pytest.approx(residual_total(state))
+        # Restoring assigns fresh ids; canonical forms pair the nodes up.
+        key_of = {nid: canonical_form(r) for nid, r in state.graph.nodes.items()}
+        by_key = {canonical_form(r): nid for nid, r in restored.graph.nodes.items()}
+        to_new = {nid: by_key[key] for nid, key in key_of.items()}
+        for edges in ("full", "reduced"):
+            old_edges, new_edges = getattr(state.graph, edges), getattr(restored.graph, edges)
+            for nid, targets in old_edges.items():
+                assert {to_new[v] for v in targets} == new_edges[to_new[nid]]
+        old_table, new_table = state.ensure_metrics(), restored.ensure_metrics()
+        for nid, new_id in to_new.items():
+            assert restored.graph.residuals[new_id] == state.graph.residuals[nid]
+            for field in ("support", "opt", "perm", "perm_generic"):
+                assert getattr(new_table, field)[new_id] == pytest.approx(
+                    getattr(old_table, field)[nid]
+                )
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "#node origin=candidate",
+            "#node id=x origin=candidate",
+            "#node id=1 origin=candidate stray",
+            "#node id=1 origin=candidate res=+",
+            "#node id=1 origin=candidate res=+:lots",
+            "#node id=1 origin=alien",
+            "#node id=1 origin=candidate length=long",
+        ],
+    )
+    def test_malformed_node_header(self, tmp_path, header):
+        path = tmp_path / "bad.snapshot"
+        path.write_text(f"#snapshot 1\n#classes + -\n{header}\np(a).\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            load_snapshot(str(path))
 
 
 class TestGrid:

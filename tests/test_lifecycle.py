@@ -1,5 +1,6 @@
 import pytest
 
+from covkb import lifecycle
 from covkb.lifecycle import (
     AVG_OPT,
     AVG_OPT_CLAMPED,
@@ -8,6 +9,7 @@ from covkb.lifecycle import (
     Policy,
     Threshold,
 )
+from covkb.metrics import compute_table
 from covkb.parser import parse_program
 from covkb.rules import CANDIDATE
 
@@ -240,6 +242,23 @@ class TestStep:
         rid = log1.promoted_ids[0]
         log2 = state.step(evidence("flies(rock1). flies(rock2).", "-"))
         assert rid in log2.demoted_ids
+
+    def test_metrics_pass_only_when_graph_changes(self, monkeypatch):
+        state = blank_state()
+        batch = evidence("f(a). f(b).") + candidates("f(X).")
+        first = state.step(batch)
+        passes = []
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return compute_table(*args, **kwargs)
+
+        monkeypatch.setattr(lifecycle, "compute_table", counting)
+        again = state.step(batch)  # every arrival is a duplicate
+        assert passes == []
+        assert again.inserted_ids == () and again.root_support == first.root_support
+        state.step(evidence("f(c)."))
+        assert passes == [1]
 
     def test_replay_determinism(self, family):
         trace = [
