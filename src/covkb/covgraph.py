@@ -1,8 +1,9 @@
 """Coverage DAG over working rules and evidence.
 
 The graph stores two edge sets over the same nodes: the full pairwise
-coverage relation (after cycle repair) and its transitive reduction, which
-is unique for DAGs and is what the support metrics propagate over.
+coverage relation, with each mutual-coverage cycle cut down to the forward
+edges of a (length, id) order, and its transitive reduction, which is
+unique for DAGs and is what the support metrics propagate over.
 Evidence nodes never cover anything, so they are always sinks.
 
 Each node carries a per-class residual: support inherited from forgotten
@@ -51,74 +52,38 @@ def transitive_reduce(
     return reduced
 
 
-def _topo_order(ids: List[int], edges: Mapping[int, Set[int]]) -> List[int]:
-    indeg = {v: 0 for v in ids}
-    for u in ids:
+def _topo_order(ids: Iterable[int], edges: Mapping[int, Set[int]]) -> List[int]:
+    """Kahn's walk, parents before children; GraphError on a cycle.
+
+    Any topological order serves: the reduction, support and best-coverer
+    passes read each node only after all its parents (or children), and
+    their per-node sums run over edge sets, not over this order.
+    """
+    indeg = dict.fromkeys(ids, 0)
+    for u in indeg:
         for v in edges.get(u, ()):
             indeg[v] += 1
-    frontier = sorted(v for v in ids if indeg[v] == 0)
-    order: List[int] = []
-    while frontier:
-        u = frontier.pop()
-        order.append(u)
-        for v in sorted(edges.get(u, ()), reverse=True):
+    order = [v for v, d in indeg.items() if d == 0]
+    for u in order:  # the list doubles as the queue; appends extend the loop
+        for v in edges.get(u, ()):
             indeg[v] -= 1
             if indeg[v] == 0:
-                frontier.append(v)
-        frontier.sort(reverse=True)
-    if len(order) != len(ids):
+                order.append(v)
+    if len(order) != len(indeg):
         raise GraphError("cycle detected in coverage relation")
     return order
 
 
-def _strongly_connected(ids: List[int], edges: Mapping[int, Set[int]]) -> List[List[int]]:
-    """Tarjan's SCC, iterative; returns components of size >= 2 only."""
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = [0]
-
-    for root in ids:
-        if root in index_of:
-            continue
-        work = [(root, iter(sorted(edges.get(root, ()))))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index_of:
-                    index_of[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1:
-                    sccs.append(comp)
-    return sccs
+def _reachable(start: int, edges: Mapping[int, Iterable[int]]) -> Set[int]:
+    """`start` and every node reachable from it over `edges`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in edges[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 class CoverageGraph:
@@ -159,7 +124,7 @@ class CoverageGraph:
                     continue
                 if oracle.covers_pair(general, specific):
                     g.full[general.id].add(specific.id)
-        g._recompute_structure(sorted(g.nodes))
+        g._recompute_structure(g.nodes)
         return g
 
     @classmethod
@@ -191,7 +156,7 @@ class CoverageGraph:
             if g.nodes[u].class_label is not None:
                 raise GraphError("class-labeled nodes must have out-degree 0")
             g.full[u].add(v)
-        g._recompute_structure(sorted(g.nodes))
+        g._recompute_structure(g.nodes)
         return g
 
     # -- accessors ----------------------------------------------------------
@@ -228,7 +193,7 @@ class CoverageGraph:
 
     def topological_order(self) -> List[int]:
         """Roots first; reverse it for a leaves-first sweep."""
-        return _topo_order(sorted(self.nodes), self.reduced)
+        return _topo_order(self.nodes, self.reduced)
 
     # -- mutation -----------------------------------------------------------
 
@@ -249,8 +214,8 @@ class CoverageGraph:
         self._add_node(rule, pairs_out)
         for other_id in pairs_in:
             self.full[other_id].add(rule.id)
-        # The graph was acyclic, so a new cycle runs through this node and
-        # lies among its descendants: the only nodes a search from it visits.
+        # The graph was acyclic, so the only cycle an insert can close runs
+        # through the new node.
         self._recompute_structure([rule.id])
 
     def replace_rule(self, rule: Rule) -> None:
@@ -311,22 +276,32 @@ class CoverageGraph:
         self.revision += 1
 
     def _repair_cycles(self, roots: Iterable[int]) -> None:
-        """Break mutual-coverage cycles reachable from `roots` deterministically.
+        """Break the mutual-coverage cycles through `roots` deterministically.
 
-        Mutual coverage means logical equivalence; within each strongly
-        connected component, nodes are ordered by (length, id) and only
-        forward edges of that order survive, so the shortest rule plays the
-        generalisation role.
+        Mutual coverage means logical equivalence.  The cycles through v
+        form its strongly connected component: v plus those of its
+        descendants that reach v again.  Within it, nodes are ordered by
+        (length, id) and only forward edges of that order survive, so the
+        shortest rule plays the generalisation role.  Components are
+        disjoint, so with every node as a root the first member of each
+        component repairs all of it and the others then find no cycle.
         """
-        sccs = _strongly_connected(list(roots), self.full)
-        for comp in sccs:
+        for v in roots:
+            below = _reachable(v, self.full)
+            if not any(v in self.full[u] for u in below):
+                continue  # nothing below v leads back to it
+            preds: Dict[int, List[int]] = {u: [] for u in below}
+            for u in below:
+                for w in self.full[u]:
+                    preds[w].append(u)
+            cycle = _reachable(v, preds)
             rank = {
                 nid: pos
                 for pos, nid in enumerate(
-                    sorted(comp, key=lambda n: (self.lengths[n], n))
+                    sorted(cycle, key=lambda n: (self.lengths[n], n))
                 )
             }
-            for nid in comp:
+            for nid in cycle:
                 self.full[nid] = {
-                    v for v in self.full[nid] if v not in rank or rank[nid] < rank[v]
+                    w for w in self.full[nid] if w not in rank or rank[nid] < rank[w]
                 }

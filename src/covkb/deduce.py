@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .rules import (
     EVIDENCE,
@@ -74,7 +74,9 @@ class Background:
 
     Holds the seed background plus currently consolidated rules.  Carries a
     version counter so closure caches can be invalidated wholesale when the
-    consolidated set changes.
+    consolidated set changes.  `rule_ids` and `derivable_preds` (the
+    predicates forward chaining could add facts for) are fixed at
+    construction.
     """
 
     def __init__(self, rules: Iterable[Rule], version: int = 0):
@@ -89,6 +91,8 @@ class Background:
         self.by_pred: Dict[Tuple[str, int], List[Rule]] = {}
         for r in rules:
             self.by_pred.setdefault(r.head.key, []).append(r)
+        self.rule_ids = frozenset(r.id for r in rules)
+        self.derivable_preds = frozenset(c.head.key for c in self.clauses)
 
     def extended(self, extra: Iterable[Rule]) -> "Background":
         return Background(self.rules + tuple(extra), version=self.version + 1)
@@ -98,13 +102,6 @@ class Background:
         return Background(
             tuple(r for r in self.rules if r.id not in drop), version=self.version + 1
         )
-
-    def rule_ids(self) -> Set[int]:
-        return {r.id for r in self.rules}
-
-    def derivable_preds(self) -> Set[Tuple[str, int]]:
-        """Predicates that forward chaining could add facts for."""
-        return {c.head.key for c in self.clauses}
 
     def __len__(self):
         return len(self.rules)
@@ -252,7 +249,6 @@ class FactStore:
         self._index: Dict[Tuple[str, int], List[Dict[Optional[str], List[Atom]]]] = {}
         self.seen: set = set()
         self.count = 0
-        self.complete = True  # False if the round cap stopped saturation
 
     def add(self, atom: Atom) -> bool:
         key = render_atom(_canonical_atom(atom, {}))
@@ -285,9 +281,6 @@ class FactStore:
             if len(exact) + len(wild) < len(best):
                 best = list(exact) + list(wild)
         return best
-
-    def all_atoms(self) -> Iterable[Atom]:
-        return itertools.chain.from_iterable(self.by_pred.values())
 
 
 def _rename_apart(atom: Atom, counter: itertools.count) -> Atom:
@@ -380,7 +373,6 @@ def _saturate(
         ):
             return True
     if delta:
-        store.complete = False
         raise LimitExceeded("round cap reached before fixpoint")
     return False
 
@@ -576,9 +568,9 @@ class CoverageOracle:
         if (
             self._saturated is not None
             and not self._saturated_failed
-            and old.rule_ids() <= bg.rule_ids()
+            and old.rule_ids <= bg.rule_ids
         ):
-            added = [r for r in bg.rules if r.id not in old.rule_ids()]
+            added = [r for r in bg.rules if r.id not in old.rule_ids]
             try:
                 extend_closure(
                     self._saturated,
@@ -621,7 +613,7 @@ class CoverageOracle:
         return self._saturated
 
     def _store_for(self, general: Rule) -> Optional[FactStore]:
-        derivable = self.bg.derivable_preds()
+        derivable = self.bg.derivable_preds
         if derivable and any(a.key in derivable for a in general.body):
             return self._saturated_store()
         return self._facts_only_store()

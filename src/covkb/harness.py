@@ -63,11 +63,7 @@ class ScenarioConfig:
     seed: int = 0
     arrival_p: float = 0.5
     capacity: int = 0
-    forget_fraction: float = 0.25
-    beta: float = 0.5
-    theta_p: Threshold = field(default_factory=lambda: Threshold(AVG_OPT_CLAMPED))
-    theta_d: Threshold = field(default_factory=lambda: Threshold(FIXED, float("-inf")))
-    consolidation_class: Optional[str] = None
+    policy: Policy = field(default_factory=Policy)
     coverage: CoverageConfig = field(default_factory=CoverageConfig)
     background: Optional[str] = None
     phases: Tuple[PhaseConfig, ...] = ()
@@ -75,15 +71,6 @@ class ScenarioConfig:
     @property
     def steps(self) -> int:
         return sum(p.steps for p in self.phases)
-
-    def policy(self) -> Policy:
-        return Policy(
-            beta=self.beta,
-            theta_p=self.theta_p,
-            theta_d=self.theta_d,
-            forget_fraction=self.forget_fraction,
-            consolidation_class=self.consolidation_class,
-        )
 
 
 @dataclass(frozen=True)
@@ -247,21 +234,29 @@ def load_scenario(path: str) -> ScenarioConfig:
     for phase in phase_cfgs:
         if phase.steps < 0:
             raise ConfigError("steps must be >= 0")
+    try:
+        policy = Policy(
+            beta=float(scalars.pop("beta", 0.5)),
+            theta_p=theta_p,
+            theta_d=theta_d,
+            forget_fraction=float(scalars.pop("forget_fraction", 0.25)),
+            consolidation_class=consolidation_class,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     cfg = ScenarioConfig(
         seed=int(scalars.pop("seed", 0)),
         arrival_p=float(scalars.pop("arrival_p", 0.5)),
         capacity=int(scalars.pop("capacity", 0)),
-        forget_fraction=float(scalars.pop("forget_fraction", 0.25)),
-        beta=float(scalars.pop("beta", 0.5)),
-        theta_p=theta_p,
-        theta_d=theta_d,
-        consolidation_class=consolidation_class,
+        policy=policy,
         coverage=coverage,
         background=background,
         phases=tuple(phase_cfgs),
     )
     if not 0.0 < cfg.arrival_p <= 1.0:
         raise ConfigError("arrival_p must lie in (0, 1]")
+    if cfg.capacity < 0:
+        raise ConfigError("capacity must be >= 0 (0 means unbounded)")
     return cfg
 
 
@@ -276,6 +271,8 @@ def load_grid(path: str) -> GridConfig:
     for section, key, value, line_no in _parse_kv_lines(text):
         if key is None:
             raise ConfigError(f"line {line_no}: grid files have no sections")
+        if key in keys:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         keys[key] = value
     try:
         scenario_path = keys.pop("scenario")
@@ -352,7 +349,7 @@ def build_state(cfg: ScenarioConfig) -> KnowledgeState:
         b0,
         classes,
         capacity=cfg.capacity,
-        policy=cfg.policy(),
+        policy=cfg.policy,
         coverage=cfg.coverage,
     )
 
@@ -441,8 +438,10 @@ def derive_cell_seed(base_seed: int, capacity: int, fraction: float, rep: int) -
 
 def _grid_cell(args) -> Tuple[int, float, int, Optional[Tuple[str, ...]], str]:
     base, cap, frac, rep = args
-    cfg = replace(base, capacity=cap, forget_fraction=frac)
     try:
+        cfg = replace(
+            base, capacity=cap, policy=replace(base.policy, forget_fraction=frac)
+        )
         _, state = run_scenario(
             cfg, seed=derive_cell_seed(base.seed, cap, frac, rep)
         )

@@ -133,27 +133,17 @@ class KnowledgeState:
         self.oracle.warnings = []
         return out
 
-    def invalidate_metrics(self) -> None:
-        """Force the next `ensure_metrics` to recompute; graph mutations and
-        a new beta need no call, since they already miss the cache."""
-        self.metrics = None
-
     def ensure_metrics(self) -> MetricsTable:
         """The metrics of the current graph and policy.
 
         The cached table is reused while `graph.revision` and the policy's
-        beta equal those it was computed at, and nothing invalidated it.
+        beta equal those it was computed at.
         """
         key = (self.graph.revision, self.policy.beta)
-        if self.metrics is None or self._metrics_key != key:
+        if self._metrics_key != key:
             self.metrics = compute_table(self.graph, self.policy.beta, self.classes)
             self._metrics_key = key
         return self.metrics
-
-    def recompute_metrics(self) -> MetricsTable:
-        """A freshly computed table; the cached one is never reused."""
-        self.invalidate_metrics()
-        return self.ensure_metrics()
 
     def population(self) -> int:
         return len(self.graph)
@@ -166,9 +156,6 @@ class KnowledgeState:
             nid for nid, r in self.graph.nodes.items()
             if r.protected and r.origin == CANDIDATE
         )
-
-    def working_ids(self) -> List[int]:
-        return sorted(nid for nid, r in self.graph.nodes.items() if not r.protected)
 
     # -- ingestion -----------------------------------------------------------
 

@@ -161,11 +161,7 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def parse_program(
-    text: str,
-    first_id: int = 1,
-    declared_classes: Optional[Tuple[str, ...]] = None,
-) -> List[Rule]:
+def parse_program(text: str, first_id: int = 1) -> List[Rule]:
     """Parse a `.kbr` document into rules, in file order.
 
     Ids are assigned sequentially from `first_id`.  Class labels come from
@@ -178,7 +174,7 @@ def parse_program(
     section = CANDIDATE
     section_class: Optional[str] = None
     pending_length: Optional[float] = None
-    classes: Optional[set] = set(declared_classes) if declared_classes else None
+    classes: Optional[set] = None
     pred_arity: dict = {}
     tokens: List[_Token] = []
     next_id = first_id

@@ -36,10 +36,6 @@ class Compound:
     functor: str
     args: Tuple["Term", ...] = ()
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.args
-
     def __repr__(self):
         if not self.args:
             return f"Compound({self.functor})"
@@ -117,22 +113,6 @@ def term_depth(term: Term) -> int:
     if isinstance(term, Var) or not term.args:
         return 1
     return 1 + max(term_depth(a) for a in term.args)
-
-
-def term_vars(term: Term) -> Iterator[Var]:
-    for sub in iter_terms(term):
-        if isinstance(sub, Var):
-            yield sub
-
-
-def atom_vars(atom: Atom) -> Iterator[Var]:
-    for arg in atom.args:
-        yield from term_vars(arg)
-
-
-def rule_vars(rule: Rule) -> Iterator[Var]:
-    for atom in rule.atoms():
-        yield from atom_vars(atom)
 
 
 def signature_stats(rule: Rule) -> SignatureStats:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from covkb.covgraph import (
     CoverageGraph,
     GraphError,
-    _strongly_connected,
+    _topo_order,
     transitive_reduce,
 )
 from covkb.deduce import (
@@ -145,6 +145,21 @@ class TestStructureBasics:
         assert g.full[a.id] == {b.id}
         assert g.full[b.id] == set()
 
+    def test_disjoint_cycles_repaired_in_one_pass(self):
+        # A non-transitive 3-cycle 1 -> 2 -> 3 -> 1 ordered (length, id) as
+        # 2 < 3 < 1, and an equal-length 2-cycle 4 <-> 5 where the lower id
+        # wins; 3 -> 4, 1 -> 6, 5 -> 6 and 7 -> 1 lie on no cycle.
+        g = CoverageGraph.from_structure(
+            {
+                1: (None, 5.0), 2: (None, 3.0), 3: (None, 4.0),
+                4: (None, 2.0), 5: (None, 2.0), 6: ("+", 8.0), 7: (None, 1.0),
+            },
+            [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (3, 4), (1, 6), (5, 6), (7, 1)],
+        )
+        assert g.full == {
+            1: {6}, 2: {3}, 3: {1, 4}, 4: {5}, 5: {6}, 6: set(), 7: {1},
+        }
+
     def test_labeled_node_must_be_sink(self):
         with pytest.raises(GraphError):
             CoverageGraph.from_structure({1: ("+", 5.0), 2: (None, 3.0)}, [(1, 2)])
@@ -260,6 +275,10 @@ class TestRandomGraphInvariants:
             full_closure = closure(sorted(g.nodes), g.full)
             reduced_closure = closure(sorted(g.nodes), g.reduced)
             assert full_closure == reduced_closure
+            order = g.topological_order()
+            assert sorted(order) == sorted(g.nodes)
+            pos = {v: i for i, v in enumerate(order)}
+            assert all(pos[u] < pos[v] for u in g.reduced for v in g.reduced[u])
 
 
 def test_insert_isolated_evidence(family):
@@ -325,7 +344,7 @@ class TestMutationInvariants:
                 assert g.revision == revision
 
             ids = sorted(g.nodes)
-            assert _strongly_connected(ids, g.full) == []
+            assert sorted(_topo_order(ids, g.full)) == ids  # GraphError on a cycle
             assert g.reduced == transitive_reduce(ids, g.full)
             assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}

@@ -55,7 +55,7 @@ class TestConfigLoading:
     def test_family_scenario(self):
         cfg = load_scenario(FAMILY_SCN)
         assert cfg.steps == 8
-        assert cfg.beta == 0.5
+        assert cfg.policy.beta == 0.5
         assert len(cfg.phases) == 1
         assert cfg.phases[0].evidence.endswith("family.kbr")
 
@@ -67,9 +67,10 @@ class TestConfigLoading:
 
     def test_chess_threshold_modes(self):
         cfg = load_scenario(CHESS_SCN)
-        assert cfg.theta_p.kind == "avg_opt_clamped"
-        assert cfg.theta_d.kind == "fixed" and cfg.theta_d.value == 0.0
-        assert cfg.consolidation_class == "+"
+        policy = cfg.policy
+        assert policy.theta_p.kind == "avg_opt_clamped"
+        assert policy.theta_d.kind == "fixed" and policy.theta_d.value == 0.0
+        assert policy.consolidation_class == "+"
 
     def test_grid_config(self):
         grid = load_grid(GRID)
@@ -285,6 +286,24 @@ class TestCli:
         bad = tmp_path / "bad.scn"
         bad.write_text("nonsense = 1\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "line", ["beta = 2", "forget_fraction = 0", "capacity = -1"]
+    )
+    def test_out_of_range_scenario_value(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(f"steps = 3\n{line}\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_grid_duplicate_key_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "dup.grid"
+        bad.write_text(
+            f"scenario = {CHESS_SCN}\nfractions = 0.5\nfractions = 0.25\n"
+            "capacities = 20\nrepetitions = 1\n"
+        )
+        assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
+        assert "line 3: duplicate key 'fractions'" in capsys.readouterr().err
 
 
 def test_chess_forgetting_cadence():

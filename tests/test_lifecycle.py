@@ -128,7 +128,7 @@ class TestPromoteDemote:
         # cover the evidence via subsumption-free derivation: f(X) with a
         # body needs g facts, so instead use a bare generalisation
         state.ingest(candidates("f(Y)."))
-        t = state.recompute_metrics()
+        t = state.ensure_metrics()
         winner = max(t.opt_generic, key=t.opt_generic.get)
         promoted = state.promote_pass()
         assert promoted == [winner]
@@ -171,7 +171,7 @@ class TestPromoteDemote:
         state.ingest(candidates("flies(X)."))
         (promoted,) = state.promote_pass()
         state.ingest(evidence("flies(rock1). flies(rock2).", "-"))
-        state.recompute_metrics()
+        state.ensure_metrics()
         assert state.demote_pass() == [promoted]
         assert not state.graph.nodes[promoted].protected
         assert promoted not in {r.id for r in state.background.rules}
