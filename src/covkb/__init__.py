@@ -33,7 +33,6 @@ from .harness import (
 from .lifecycle import KnowledgeState, Policy, StepLog, Threshold
 from .metrics import (
     MetricsTable,
-    brute_force_support,
     compute_support,
     compute_table,
     conservation_check,
@@ -77,7 +76,6 @@ __all__ = [
     "StepLog",
     "Threshold",
     "Var",
-    "brute_force_support",
     "build_oneshot_state",
     "canonical_form",
     "compute_support",

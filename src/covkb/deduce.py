@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .rules import (
     EVIDENCE,
@@ -73,13 +73,20 @@ class Background:
     """An immutable rule set used as auxiliary knowledge during derivation.
 
     Holds the seed background plus currently consolidated rules.  Carries a
-    version counter so closure caches can be invalidated wholesale when the
-    consolidated set changes.  `rule_ids` and `derivable_preds` (the
-    predicates forward chaining could add facts for) are fixed at
-    construction.
+    version counter, bumped by every change, so closures grown from one
+    background can be invalidated when the consolidated set changes.
+    `rule_ids`, `derivable_preds` (the predicates forward chaining could add
+    facts for) and `fingerprint` (the set of facts, which keys the verdicts
+    that depend on the facts alone) are fixed at construction; `extended`
+    and `without_ids` pass the fingerprint on when they add or drop no fact.
     """
 
-    def __init__(self, rules: Iterable[Rule], version: int = 0):
+    def __init__(
+        self,
+        rules: Iterable[Rule],
+        version: int = 0,
+        fingerprint: Optional[FrozenSet[Atom]] = None,
+    ):
         rules = tuple(rules)
         for r in rules:
             if r.class_label is not None:
@@ -88,20 +95,24 @@ class Background:
         self.version = version
         self.facts: List[Atom] = [r.head for r in rules if r.is_fact]
         self.clauses: List[Rule] = [r for r in rules if not r.is_fact]
-        self.by_pred: Dict[Tuple[str, int], List[Rule]] = {}
-        for r in rules:
-            self.by_pred.setdefault(r.head.key, []).append(r)
         self.rule_ids = frozenset(r.id for r in rules)
         self.derivable_preds = frozenset(c.head.key for c in self.clauses)
+        if fingerprint is None:
+            fingerprint = frozenset(self.facts)
+        self.fingerprint = fingerprint
 
     def extended(self, extra: Iterable[Rule]) -> "Background":
-        return Background(self.rules + tuple(extra), version=self.version + 1)
+        return self._successor(self.rules + tuple(extra))
 
     def without_ids(self, ids: Iterable[int]) -> "Background":
         drop = set(ids)
-        return Background(
-            tuple(r for r in self.rules if r.id not in drop), version=self.version + 1
-        )
+        return self._successor(tuple(r for r in self.rules if r.id not in drop))
+
+    def _successor(self, rules: Tuple[Rule, ...]) -> "Background":
+        # One rule set contains the other: equal fact counts mean equal facts.
+        same_facts = sum(r.is_fact for r in rules) == len(self.facts)
+        fingerprint = self.fingerprint if same_facts else None
+        return Background(rules, version=self.version + 1, fingerprint=fingerprint)
 
     def __len__(self):
         return len(self.rules)
@@ -530,16 +541,41 @@ def covers(
     return general_fires(general, goal, store)
 
 
+Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> verdict
+
+
+class VerdictStore:
+    """Verdicts that depend on content alone, so any oracles may share them:
+    theta-subsumption rows and, per background fact set (its fingerprint),
+    the raw fact store with the rows of generals fired against it."""
+
+    def __init__(self):
+        self.subsumes: Rows = {}
+        self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Rows]] = {}
+
+    def for_facts(self, bg: Background) -> Tuple[FactStore, Rows]:
+        entry = self._by_facts.get(bg.fingerprint)
+        if entry is None:
+            store = FactStore()
+            for atom in bg.facts:
+                store.add(atom)
+            entry = self._by_facts[bg.fingerprint] = (store, {})
+        return entry
+
+
 class CoverageOracle:
     """Caching front-end for pairwise coverage during graph maintenance.
 
-    Verdicts are cached by canonical rule text, so re-arrivals of the same
-    clause under fresh ids stay cheap.  `keys` maps rule ids to that text
-    where the caller has already computed it; other rules are canonicalised
-    on each call.  Derivation against evidence shares
-    one saturated fact store per background version; generals whose bodies
-    only mention predicates no background clause can derive skip the
-    saturation entirely and resolve against the raw background facts.
+    Verdicts are cached by canonical rule text, one row per general, so
+    re-arrivals of the same clause under fresh ids stay cheap.  `keys` maps
+    rule ids to that text where the caller has already computed it; other
+    rules are canonicalised on each call.  Subsumption verdicts, and those
+    of generals whose bodies only mention predicates no background clause
+    can derive (fired against the raw background facts), depend on content
+    alone and live in `verdicts`, which callers may share.  Other generals
+    fire against one saturated store that `set_background` grows in place;
+    `extend_closure` restarts its round budget, so that store depends on the
+    order of changes and its verdicts are per oracle, dropped on each change.
     """
 
     def __init__(
@@ -547,14 +583,15 @@ class CoverageOracle:
         bg: Background,
         cfg: CoverageConfig,
         keys: Optional[Mapping[int, str]] = None,
+        verdicts: Optional[VerdictStore] = None,
     ):
         self.bg = bg
         self.cfg = cfg
         self.keys: Mapping[int, str] = {} if keys is None else keys
+        self.verdicts = VerdictStore() if verdicts is None else verdicts
         self.warnings: List[str] = []
-        self._subs_cache: Dict[Tuple[str, str], bool] = {}
-        self._fire_cache: Dict[Tuple[int, str, str], bool] = {}
-        self._raw_store: Optional[FactStore] = None
+        self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
+        self._saturated_rows: Rows = {}
         self._saturated: Optional[FactStore] = None
         self._saturated_failed = False
 
@@ -563,8 +600,8 @@ class CoverageOracle:
             return
         old = self.bg
         self.bg = bg
-        self._raw_store = None
-        self._fire_cache.clear()
+        self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
+        self._saturated_rows = {}
         if (
             self._saturated is not None
             and not self._saturated_failed
@@ -595,14 +632,6 @@ class CoverageOracle:
         text = self.keys.get(rule.id)
         return canonical_form(rule) if text is None else text
 
-    def _facts_only_store(self) -> FactStore:
-        if self._raw_store is None:
-            store = FactStore()
-            for atom in self.bg.facts:
-                store.add(atom)
-            self._raw_store = store
-        return self._raw_store
-
     def _saturated_store(self) -> Optional[FactStore]:
         if self._saturated is None and not self._saturated_failed:
             try:
@@ -612,11 +641,9 @@ class CoverageOracle:
                 self._warn(f"background saturation: {exc}")
         return self._saturated
 
-    def _store_for(self, general: Rule) -> Optional[FactStore]:
+    def _needs_saturation(self, general: Rule) -> bool:
         derivable = self.bg.derivable_preds
-        if derivable and any(a.key in derivable for a in general.body):
-            return self._saturated_store()
-        return self._facts_only_store()
+        return bool(derivable) and any(a.key in derivable for a in general.body)
 
     def mode_for(self, specific: Rule) -> str:
         if specific.origin == EVIDENCE:
@@ -626,30 +653,33 @@ class CoverageOracle:
     def covers_pair(self, general: Rule, specific: Rule) -> bool:
         mode = self.mode_for(specific)
         if mode == SUBSUMPTION:
-            key = (self.canon(general), self.canon(specific))
-            hit = self._subs_cache.get(key)
-            if hit is None:
+            rows = self.verdicts.subsumes
+        elif not specific.is_fact:
+            return covers(
+                self.bg,
+                general,
+                specific,
+                mode=mode,
+                limits=self.cfg.limits,
+                on_warning=self._warn,
+            )
+        elif self._needs_saturation(general):
+            rows = self._saturated_rows
+        else:
+            rows = self._facts_rows
+        row = rows.setdefault(self.canon(general), {})
+        key = self.canon(specific)
+        hit = row.get(key)
+        if hit is None:
+            if mode == SUBSUMPTION:
                 hit = theta_subsumes(general, specific)
-                self._subs_cache[key] = hit
-            return hit
-        if specific.is_fact:
-            # Shared closures: nothing specific-side to assert.
-            key = (self.bg.version, self.canon(general), self.canon(specific))
-            hit = self._fire_cache.get(key)
-            if hit is None:
-                store = self._store_for(general)
-                if store is None:
-                    hit = False
+            else:
+                # Shared closures: nothing specific-side to assert.
+                if rows is self._facts_rows:
+                    store = self._raw_store
                 else:
-                    goal, _ = skolemize(specific)
-                    hit = general_fires(general, goal, store)
-                self._fire_cache[key] = hit
-            return hit
-        return covers(
-            self.bg,
-            general,
-            specific,
-            mode=mode,
-            limits=self.cfg.limits,
-            on_warning=self._warn,
-        )
+                    store = self._saturated_store()
+                goal, _ = skolemize(specific)
+                hit = store is not None and general_fires(general, goal, store)
+            row[key] = hit
+        return hit

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .covgraph import CoverageGraph
-from .deduce import DERIVATION, SUBSUMPTION, CoverageConfig, DeriveLimits
+from .deduce import DERIVATION, SUBSUMPTION, CoverageConfig, DeriveLimits, VerdictStore
 from .lifecycle import (
     AVG_OPT,
     AVG_OPT_CLAMPED,
@@ -49,6 +49,9 @@ from .rules import (
 
 class ConfigError(Exception):
     pass
+
+
+Pools = List[Tuple[List[Rule], List[Rule]]]  # per phase: (evidence, candidates)
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,14 @@ def _parse_kv_lines(text: str):
         yield section, key.strip(), value.strip(), line_no
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}")
+
+
 def _parse_threshold(text: str) -> Threshold:
     if text == AVG_OPT:
         return Threshold(AVG_OPT)
@@ -139,11 +150,7 @@ _SCALAR_KEYS = {
 
 def load_scenario(path: str) -> ScenarioConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}")
+    text = _read(path, "scenario file")
 
     top: Dict[str, str] = {}
     phases: List[Dict[str, str]] = []
@@ -262,11 +269,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def load_grid(path: str) -> GridConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file: {exc}")
+    text = _read(path, "grid file")
     keys: Dict[str, str] = {}
     for section, key, value, line_no in _parse_kv_lines(text):
         if key is None:
@@ -293,6 +296,10 @@ def load_grid(path: str) -> GridConfig:
         raise ConfigError(f"unknown grid keys {sorted(keys)}")
     if not capacities or not fractions or repetitions <= 0:
         raise ConfigError("grid lists must be non-empty")
+    if min(capacities) < 0:
+        raise ConfigError("capacities must be >= 0 (0 means unbounded)")
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ConfigError("fractions must lie in (0, 1]")
     return GridConfig(
         base=base,
         capacities=capacities,
@@ -309,11 +316,7 @@ def load_grid(path: str) -> GridConfig:
 def _load_pool(path: Optional[str], want_origin: str) -> List[Rule]:
     if path is None:
         return []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read pool file {path}: {exc}")
+    text = _read(path, "pool file")
     try:
         rules = parse_program(text)
     except ParseError as exc:
@@ -327,8 +330,7 @@ def scenario_classes(cfg: ScenarioConfig) -> Tuple[str, ...]:
     for phase in cfg.phases:
         if phase.evidence is None:
             continue
-        with open(phase.evidence, "r", encoding="utf-8") as fh:
-            classes = scan_classes(fh.read())
+        classes = scan_classes(_read(phase.evidence, "pool file"))
         if not classes:
             continue
         if declared is None:
@@ -342,16 +344,28 @@ def scenario_classes(cfg: ScenarioConfig) -> Tuple[str, ...]:
     return declared
 
 
-def build_state(cfg: ScenarioConfig) -> KnowledgeState:
-    classes = scenario_classes(cfg)
-    b0 = _load_pool(cfg.background, BACKGROUND)
+def _new_state(
+    cfg: ScenarioConfig, classes: Sequence[str], b0: Sequence[Rule], verdicts=None
+) -> KnowledgeState:
     return KnowledgeState(
         b0,
         classes,
         capacity=cfg.capacity,
         policy=cfg.policy,
         coverage=cfg.coverage,
+        verdicts=verdicts,
     )
+
+
+def build_state(cfg: ScenarioConfig) -> KnowledgeState:
+    return _new_state(cfg, scenario_classes(cfg), _load_pool(cfg.background, BACKGROUND))
+
+
+def _phase_pools(cfg: ScenarioConfig) -> Pools:
+    return [
+        (_load_pool(p.evidence, EVIDENCE), _load_pool(p.candidates, CANDIDATE))
+        for p in cfg.phases
+    ]
 
 
 def build_oneshot_state(cfg: ScenarioConfig) -> KnowledgeState:
@@ -388,11 +402,14 @@ def run_scenario(
 ) -> Tuple[List[StepLog], KnowledgeState]:
     """Run the arrival simulation; optionally stream steps.csv as it goes."""
     state = build_state(cfg)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    pools = [
-        (_load_pool(p.evidence, EVIDENCE), _load_pool(p.candidates, CANDIDATE))
-        for p in cfg.phases
-    ]
+    pools = _phase_pools(cfg)
+    return _simulate(cfg, state, pools, cfg.seed if seed is None else seed, out_dir)
+
+
+def _simulate(
+    cfg: ScenarioConfig, state: KnowledgeState, pools: Pools, seed: int, out_dir=None
+) -> Tuple[List[StepLog], KnowledgeState]:
+    rng = np.random.default_rng(seed)
     logs: List[StepLog] = []
     writer = None
     fh = None
@@ -436,24 +453,34 @@ def derive_cell_seed(base_seed: int, capacity: int, fraction: float, rep: int) -
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _grid_cell(args) -> Tuple[int, float, int, Optional[Tuple[str, ...]], str]:
-    base, cap, frac, rep = args
-    try:
-        cfg = replace(
-            base, capacity=cap, policy=replace(base.policy, forget_fraction=frac)
+def _grid_cells(
+    base: ScenarioConfig, cells: Sequence[Tuple[int, float, int]]
+) -> List[Tuple[int, float, int, Optional[Tuple[str, ...]], str]]:
+    """Run cells on the base scenario's inputs, loaded once, sharing one
+    verdict store; unreadable input raises, a failing cell is recorded."""
+    classes = scenario_classes(base)
+    b0 = _load_pool(base.background, BACKGROUND)
+    pools = _phase_pools(base)
+    verdicts = VerdictStore()
+    results = []
+    for cap, frac, rep in cells:
+        try:
+            cfg = replace(
+                base, capacity=cap, policy=replace(base.policy, forget_fraction=frac)
+            )
+            state = _new_state(cfg, classes, b0, verdicts)
+            _simulate(cfg, state, pools, derive_cell_seed(base.seed, cap, frac, rep))
+        except Exception as exc:  # recorded, grid continues
+            results.append((cap, frac, rep, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        consolidated = tuple(
+            sorted(
+                canonical_form(state.graph.nodes[nid])
+                for nid in state.consolidated_ids()
+            )
         )
-        _, state = run_scenario(
-            cfg, seed=derive_cell_seed(base.seed, cap, frac, rep)
-        )
-    except Exception as exc:  # recorded, grid continues
-        return cap, frac, rep, None, f"{type(exc).__name__}: {exc}"
-    consolidated = tuple(
-        sorted(
-            canonical_form(state.graph.nodes[nid])
-            for nid in state.consolidated_ids()
-        )
-    )
-    return cap, frac, rep, consolidated, ""
+        results.append((cap, frac, rep, consolidated, ""))
+    return results
 
 
 def run_grid(
@@ -465,16 +492,22 @@ def run_grid(
     canonical form); a rule appears once per cell with the number of
     repetitions that consolidated it.  Cell results are merged by this
     single writer, so serial and concurrent runs emit identical rows.
+    Serially one `_grid_cells` call runs every cell; with `jobs > 1` each
+    worker process runs every jobs-th cell in one call.
     """
-    tasks = [(grid.base, cap, frac, rep) for cap, frac, rep in grid.cells()]
-    if jobs > 1:
+    cells = grid.cells()
+    n = min(jobs, len(cells))
+    if n > 1:
         # Imported here: multiprocessing is only needed for concurrent sweeps.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_grid_cell, tasks))
+        results: List = [None] * len(cells)
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            chunks = [cells[i::n] for i in range(n)]
+            for i, part in enumerate(pool.map(_grid_cells, [grid.base] * n, chunks)):
+                results[i::n] = part
     else:
-        results = [_grid_cell(t) for t in tasks]
+        results = _grid_cells(grid.base, cells)
     counts: Dict[Tuple[int, float, str], int] = {}
     failures: List[str] = []
     for cap, frac, rep, consolidated, error in results:

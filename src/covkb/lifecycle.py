@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
-from .deduce import Background, CoverageConfig, CoverageOracle
+from .deduce import Background, CoverageConfig, CoverageOracle, VerdictStore
 from .metrics import MetricsTable, compute_table
 from .rules import BACKGROUND, CANDIDATE, EVIDENCE, Rule, canonical_form
 
@@ -89,6 +89,7 @@ class KnowledgeState:
         capacity: int = 0,
         policy: Optional[Policy] = None,
         coverage: Optional[CoverageConfig] = None,
+        verdicts: Optional[VerdictStore] = None,
     ):
         if capacity < 0:
             raise ValueError("capacity must be >= 0 (0 means unbounded)")
@@ -110,7 +111,7 @@ class KnowledgeState:
             self._canonical[canonical_form(rule)] = rule.id
         self.b0_ids = frozenset(r.id for r in seed)
         self.background = Background(seed, version=0)
-        self.oracle = CoverageOracle(self.background, self.coverage, self._keys)
+        self.oracle = CoverageOracle(self.background, self.coverage, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None
         self._metrics_key: Optional[Tuple[int, float]] = None

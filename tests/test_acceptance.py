@@ -21,7 +21,6 @@ from covkb.deduce import (
 )
 from covkb.harness import load_grid, load_scenario, run_grid, run_scenario, write_heatmap_csv
 from covkb.metrics import (
-    brute_force_support,
     compute_support,
     conservation_check,
     optimality_row,
@@ -30,6 +29,7 @@ from covkb.parser import parse_file, parse_program
 from covkb.rules import rule_length
 
 from conftest import CHESS_DIR, FAMILY_SCN, family_state, table_id_map
+from oracles import brute_force_support
 
 CLASSES = ("+", "-")
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from covkb import deduce
 from covkb.deduce import (
     DERIVATION,
     SUBSUMPTION,
@@ -10,6 +11,7 @@ from covkb.deduce import (
     CoverageOracle,
     DeriveLimits,
     LimitExceeded,
+    VerdictStore,
     covers,
     derives_goal,
     theta_subsumes,
@@ -278,6 +280,89 @@ class TestOracle:
         oracle.set_background(family_bg.extended([with_id(R138, 60)]))
         after = oracle.covers_pair(with_id(R110, 1), ev)
         assert before is True and after is True
+
+
+class TestVerdictStore:
+    """Which verdicts outlive a background change, and sharing a store."""
+
+    def ev(self, text, rid=50):
+        (r,) = parse_program(f"#classes + -\n#evidence +\n{text}")
+        return with_id(r, rid)
+
+    @pytest.fixture
+    def fires(self, monkeypatch):
+        calls = []
+        real = deduce.general_fires
+
+        def counted(general, goal, store):
+            calls.append(general.id)
+            return real(general, goal, store)
+
+        monkeypatch.setattr(deduce, "general_fires", counted)
+        return calls
+
+    def test_clause_only_promotion_keeps_facts_only_verdicts(self, fires):
+        bg = Background([with_id(one("p(a)."), 90), with_id(one("q(a)."), 91)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        general, ev = with_id(one("h(X) :- p(X)."), 1), self.ev("h(a).")
+        assert oracle.covers_pair(general, ev)
+        grown = bg.extended([with_id(one("r(X) :- q(X)."), 92)])
+        assert grown.fingerprint is bg.fingerprint
+        oracle.set_background(grown)
+        assert oracle.covers_pair(general, ev)
+        assert fires == [1]
+
+    def test_promoted_fact_flips_facts_only_verdict(self, fires):
+        bg = Background([with_id(one("p(a)."), 90)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        general, ev = with_id(one("h(X) :- p(X), q(X)."), 1), self.ev("h(a).")
+        assert not oracle.covers_pair(general, ev)
+        oracle.set_background(bg.extended([with_id(one("q(a)."), 91)]))
+        assert oracle.covers_pair(general, ev)
+        assert fires == [1, 1]
+
+    def test_saturated_verdict_decided_again_after_change(self, fires):
+        bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        general, ev = with_id(one("h(X) :- q(X)."), 1), self.ev("h(a).")
+        assert oracle.covers_pair(general, ev)
+        assert oracle.covers_pair(general, ev)
+        assert fires == [1]
+        oracle.set_background(bg.extended([with_id(one("s(X) :- p(X)."), 92)]))
+        assert oracle.covers_pair(general, ev)
+        assert fires == [1, 1]
+
+    def test_shared_store_agrees_with_separate_stores(self, family_bg):
+        rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
+        generals = [r for r in rules if r.origin != "evidence"]
+        pairs = [(a, b) for a in generals for b in rules if a.id != b.id]
+        # One chain of versions; each change flips a verdict, through the
+        # saturated store (900, 902) or through the raw facts (901).
+        derived = family_bg.extended([with_id(one("female(X) :- parent(Y,X)."), 900)])
+        fact = derived.without_ids([900]).extended([with_id(one("parent(ann,eve)."), 901)])
+        chain = one("parent(X,Z) :- parent(X,Y), parent(Y,Z).")
+        other = fact.without_ids([901]).extended([with_id(chain, 902)])
+        orders = ((family_bg, derived, fact, other), (other, fact, derived, family_bg))
+
+        def verdicts(oracles):
+            out = []
+            for oracle, order in zip(oracles, orders):
+                for bg in order:
+                    oracle.set_background(bg)
+                    out.append([oracle.covers_pair(a, b) for a, b in pairs])
+            return out
+
+        cfg = CoverageConfig()
+        store = VerdictStore()
+        shared = [CoverageOracle(order[0], cfg, verdicts=store) for order in orders]
+        alone = [CoverageOracle(order[0], cfg) for order in orders]
+        direct = [
+            [covers(bg, a, b, DERIVATION if b.origin == "evidence" else SUBSUMPTION)
+             for a, b in pairs]
+            for order in orders for bg in order
+        ]
+        assert len({tuple(v) for v in direct}) == 3
+        assert verdicts(shared) == verdicts(alone) == direct
 
 
 class TestCoverageModeKnobs:

@@ -234,6 +234,35 @@ class TestGrid:
         assert not failures
         assert all(cap == 30 and frac == 0.5 and n == 1 for cap, frac, _, n in rows)
 
+    def small_grid(self, steps, **lists):
+        grid = load_grid(GRID)
+        base = replace(grid.base, phases=(replace(grid.base.phases[0], steps=steps),))
+        return replace(grid, base=base, repetitions=1, **lists)
+
+    def test_rows_equal_separate_runs(self):
+        # Cells share parsed pools and oracle verdicts; each must still
+        # consolidate what a fresh run of the same cell does.
+        small = self.small_grid(60, capacities=(20, 30), fractions=(0.25, 0.5))
+        rows, failures = run_grid(small, jobs=1)
+        counts = {}
+        for cap, frac, rep in small.cells():
+            policy = replace(small.base.policy, forget_fraction=frac)
+            cfg = replace(small.base, capacity=cap, policy=policy)
+            seed = derive_cell_seed(small.base.seed, cap, frac, rep)
+            _, state = run_scenario(cfg, seed=seed)
+            for nid in state.consolidated_ids():
+                key = (cap, frac, canonical_form(state.graph.nodes[nid]))
+                counts[key] = counts.get(key, 0) + 1
+        assert not failures and rows
+        assert rows == [(c, f, k, n) for (c, f, k), n in sorted(counts.items())]
+
+    def test_cell_failure_is_recorded_and_grid_continues(self):
+        # A GridConfig built in code bypasses load_grid's range checks.
+        small = self.small_grid(60, capacities=(30,), fractions=(1.5, 0.5))
+        rows, failures = run_grid(small, jobs=1)
+        assert len(failures) == 1 and "fraction=1.5" in failures[0]
+        assert rows and {frac for _, frac, _, _ in rows} == {0.5}
+
 
 class TestCli:
     def test_parse_ok(self, capsys):
@@ -304,6 +333,34 @@ class TestCli:
         )
         assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
         assert "line 3: duplicate key 'fractions'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "lists", ["capacities = 20\nfractions = 0,1.5", "capacities = -5\nfractions = 0.5"]
+    )
+    def test_out_of_range_grid_value(self, tmp_path, capsys, lists):
+        bad = tmp_path / "bad.grid"
+        bad.write_text(f"scenario = {CHESS_SCN}\n{lists}\nrepetitions = 1\n")
+        assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "heatmap.csv").exists()
+
+    def test_grid_unreadable_pool_exits_1(self, tmp_path, capsys):
+        scn = tmp_path / "gone.scn"
+        scn.write_text(
+            "steps = 6\ncapacity = 20\n"
+            f"background = {CHESS_DIR}/background.kbr\n"
+            f"evidence = {CHESS_DIR}/evidence.kbr\n"
+            "candidates = missing.kbr\n"
+        )
+        grid = tmp_path / "gone.grid"
+        grid.write_text(
+            f"scenario = {scn}\ncapacities = 20,30\nfractions = 0.5\nrepetitions = 2\n"
+        )
+        assert cli_main(["grid", str(grid), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read pool file") and err.count("\n") == 1
+        assert not (tmp_path / "heatmap.csv").exists()
 
 
 def test_chess_forgetting_cadence():

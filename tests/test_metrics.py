@@ -4,14 +4,14 @@ import pytest
 
 from covkb.covgraph import CoverageGraph
 from covkb.metrics import (
-    SizeCapExceeded,
-    brute_force_support,
     compute_support,
     compute_table,
     conservation_check,
     optimality_row,
     permanence_value,
 )
+
+from oracles import SizeCapExceeded, brute_force_support
 
 
 CLASSES = ("+", "-")
