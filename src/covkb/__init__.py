@@ -15,7 +15,6 @@ from .deduce import (
     DeriveLimits,
     LimitExceeded,
     covers,
-    derives_goal,
     theta_subsumes,
 )
 from .harness import (
@@ -28,7 +27,6 @@ from .harness import (
     load_scenario,
     run_grid,
     run_scenario,
-    sample_geometric,
 )
 from .lifecycle import KnowledgeState, Policy, StepLog, Threshold
 from .metrics import (
@@ -82,7 +80,6 @@ __all__ = [
     "compute_table",
     "conservation_check",
     "covers",
-    "derives_goal",
     "export_dot",
     "load_grid",
     "load_scenario",
@@ -94,7 +91,6 @@ __all__ = [
     "rule_length",
     "run_grid",
     "run_scenario",
-    "sample_geometric",
     "signature_stats",
     "theta_subsumes",
     "transitive_reduce",

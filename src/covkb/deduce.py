@@ -72,47 +72,30 @@ class CoverageConfig:
 class Background:
     """An immutable rule set used as auxiliary knowledge during derivation.
 
-    Holds the seed background plus currently consolidated rules.  Carries a
-    version counter, bumped by every change, so closures grown from one
-    background can be invalidated when the consolidated set changes.
+    Holds the seed background plus currently consolidated rules.
     `rule_ids`, `derivable_preds` (the predicates forward chaining could add
     facts for) and `fingerprint` (the set of facts, which keys the verdicts
-    that depend on the facts alone) are fixed at construction; `extended`
-    and `without_ids` pass the fingerprint on when they add or drop no fact.
+    that depend on the facts alone) are fixed at construction.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[Rule],
-        version: int = 0,
-        fingerprint: Optional[FrozenSet[Atom]] = None,
-    ):
+    def __init__(self, rules: Iterable[Rule]):
         rules = tuple(rules)
         for r in rules:
             if r.class_label is not None:
                 raise ValueError("evidence rules cannot enter the background")
         self.rules = rules
-        self.version = version
         self.facts: List[Atom] = [r.head for r in rules if r.is_fact]
         self.clauses: List[Rule] = [r for r in rules if not r.is_fact]
         self.rule_ids = frozenset(r.id for r in rules)
         self.derivable_preds = frozenset(c.head.key for c in self.clauses)
-        if fingerprint is None:
-            fingerprint = frozenset(self.facts)
-        self.fingerprint = fingerprint
+        self.fingerprint = frozenset(self.facts)
 
     def extended(self, extra: Iterable[Rule]) -> "Background":
-        return self._successor(self.rules + tuple(extra))
+        return Background(self.rules + tuple(extra))
 
     def without_ids(self, ids: Iterable[int]) -> "Background":
         drop = set(ids)
-        return self._successor(tuple(r for r in self.rules if r.id not in drop))
-
-    def _successor(self, rules: Tuple[Rule, ...]) -> "Background":
-        # One rule set contains the other: equal fact counts mean equal facts.
-        same_facts = sum(r.is_fact for r in rules) == len(self.facts)
-        fingerprint = self.fingerprint if same_facts else None
-        return Background(rules, version=self.version + 1, fingerprint=fingerprint)
+        return Background(r for r in self.rules if r.id not in drop)
 
     def __len__(self):
         return len(self.rules)
@@ -315,15 +298,6 @@ def _atom_depth(atom: Atom) -> int:
     return max((term_depth(a) for a in atom.args), default=0)
 
 
-def _instance_of(fact: Atom, goal: Atom) -> bool:
-    """True if ground `goal` is an instance of (possibly non-ground) fact."""
-    return match_atom(fact, goal, {}) is not None
-
-
-def goal_in_store(store: FactStore, goal: Atom) -> bool:
-    return any(_instance_of(f, goal) for f in store.candidates(goal))
-
-
 def _fire(clause: Rule, store: FactStore, delta_keys, fresh, limits) -> List[Atom]:
     """Heads derivable from `clause`; `delta_keys=None` lifts the semi-naive
     requirement that at least one joined fact be new this round."""
@@ -353,68 +327,16 @@ def _fire(clause: Rule, store: FactStore, delta_keys, fresh, limits) -> List[Ato
     return out
 
 
-def _saturate(
-    store: FactStore,
-    clauses: Sequence[Rule],
-    delta: List[Atom],
-    limits: DeriveLimits,
-    goal: Optional[Atom] = None,
-) -> bool:
-    """Run semi-naive rounds until fixpoint, limits or goal."""
-    fresh = itertools.count()
-    if goal is not None and goal_in_store(store, goal):
-        return True
-    for _ in range(limits.max_depth):
-        if not delta:
-            return False
-        delta_keys = {id(a) for a in delta}
-        new: List[Atom] = []
-        for clause in clauses:
-            new.extend(_fire(clause, store, delta_keys, fresh, limits))
-        delta = []
-        for atom in new:
-            if store.add(atom):
-                if store.count > limits.max_facts:
-                    raise LimitExceeded("derived fact count exceeds max_facts")
-                delta.append(atom)
-        if goal is not None and any(
-            _instance_of(f, goal)
-            for f in delta
-            if f.pred == goal.pred and f.arity == goal.arity
-        ):
-            return True
-    if delta:
-        raise LimitExceeded("round cap reached before fixpoint")
-    return False
-
-
 def forward_closure(
     bg: Background,
     extra_facts: Sequence[Atom] = (),
-    extra_clauses: Sequence[Rule] = (),
     limits: DeriveLimits = DeriveLimits(),
-    goal: Optional[Atom] = None,
-) -> Tuple[FactStore, bool]:
-    """Saturate facts under the given clauses, semi-naive, within limits.
-
-    Returns (store, goal_found).  When `goal` is given, saturation stops as
-    soon as some stored fact subsumes it.  Raises LimitExceeded when the
-    fact cap is hit, or when the round cap stops saturation before a
-    fixpoint with the goal still underivable.
-    """
+) -> FactStore:
+    """Saturate the background's facts plus `extra_facts` under its clauses
+    (LimitExceeded as in `extend_closure`)."""
     store = FactStore()
-    delta: List[Atom] = []
-    fact_sources = itertools.chain(
-        bg.facts, extra_facts, (c.head for c in extra_clauses if c.is_fact)
-    )
-    for atom in fact_sources:
-        if store.add(atom):
-            delta.append(atom)
-    if store.count > limits.max_facts:
-        raise LimitExceeded("initial facts exceed max_facts")
-    clauses = list(bg.clauses) + [c for c in extra_clauses if not c.is_fact]
-    found = _saturate(store, clauses, delta, limits, goal=goal)
-    return store, found
+    extend_closure(store, bg.clauses, (), [*bg.facts, *extra_facts], limits)
+    return store
 
 
 def extend_closure(
@@ -424,44 +346,38 @@ def extend_closure(
     new_facts: Sequence[Atom],
     limits: DeriveLimits,
 ) -> None:
-    """Grow a saturated store after the rule set was extended.
+    """Saturate `store`, semi-naive, after the rule set grew by `new_facts`
+    and the non-fact `new_clauses`; `all_clauses` are the grown set's.
 
-    New clauses are joined once over the whole store (no delta
-    requirement), then normal semi-naive rounds run for everything.  The
-    round budget restarts here, so a store grown incrementally may hold
-    consequences slightly deeper than one saturation pass would allow.
+    An empty store with no new clauses is a fresh saturation.  New clauses
+    are joined once over the whole store (no delta requirement), then
+    semi-naive rounds run for every clause.  The round budget restarts on
+    each call, so a store grown incrementally may hold consequences
+    slightly deeper than one saturation pass would allow.  Raises
+    LimitExceeded when the fact cap is hit, or when the round cap stops
+    saturation before a fixpoint.
     """
     fresh = itertools.count()
-    delta: List[Atom] = []
-    for atom in new_facts:
-        if store.add(atom):
-            delta.append(atom)
+    delta = [atom for atom in new_facts if store.add(atom)]
     for clause in new_clauses:
-        if clause.is_fact:
-            if store.add(clause.head):
-                delta.append(clause.head)
-            continue
-        for atom in _fire(clause, store, None, fresh, limits):
-            if store.add(atom):
-                delta.append(atom)
+        delta.extend(a for a in _fire(clause, store, None, fresh, limits) if store.add(a))
     if store.count > limits.max_facts:
-        raise LimitExceeded("derived fact count exceeds max_facts")
-    _saturate(store, list(all_clauses), delta, limits)
-
-
-def derives_goal(
-    bg: Background,
-    extra: Sequence[Rule],
-    goal: Atom,
-    limits: DeriveLimits = DeriveLimits(),
-) -> bool:
-    """True iff ground `goal` follows from bg plus `extra` within limits."""
-    extra_facts = [r.head for r in extra if r.is_fact]
-    extra_clauses = [r for r in extra if not r.is_fact]
-    _, found = forward_closure(
-        bg, extra_facts, extra_clauses, limits=limits, goal=goal
-    )
-    return found
+        raise LimitExceeded("initial facts exceed max_facts")
+    for _ in range(limits.max_depth):
+        if not delta:
+            return
+        delta_keys = {id(a) for a in delta}
+        new: List[Atom] = []
+        for clause in all_clauses:
+            new.extend(_fire(clause, store, delta_keys, fresh, limits))
+        delta = []
+        for atom in new:
+            if store.add(atom):
+                if store.count > limits.max_facts:
+                    raise LimitExceeded("derived fact count exceeds max_facts")
+                delta.append(atom)
+    if delta:
+        raise LimitExceeded("round cap reached before fixpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +449,7 @@ def covers(
         raise ValueError(f"unknown coverage mode {mode!r}")
     goal, body_facts = skolemize(specific)
     try:
-        store, _ = forward_closure(bg, body_facts, (), limits=limits)
+        store = forward_closure(bg, body_facts, limits)
     except LimitExceeded as exc:
         if on_warning:
             on_warning(f"coverage {general.id}->{specific.id}: {exc}")
@@ -596,8 +512,6 @@ class CoverageOracle:
         self._saturated_failed = False
 
     def set_background(self, bg: Background) -> None:
-        if bg.version == self.bg.version:
-            return
         old = self.bg
         self.bg = bg
         self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
@@ -616,12 +530,11 @@ class CoverageOracle:
                     [c.head for c in added if c.is_fact],
                     self.cfg.limits,
                 )
-                return
             except LimitExceeded as exc:
                 self._saturated = None
                 self._saturated_failed = True
                 self._warn(f"background saturation: {exc}")
-                return
+            return
         self._saturated = None
         self._saturated_failed = False
 
@@ -635,7 +548,7 @@ class CoverageOracle:
     def _saturated_store(self) -> Optional[FactStore]:
         if self._saturated is None and not self._saturated_failed:
             try:
-                self._saturated, _ = forward_closure(self.bg, limits=self.cfg.limits)
+                self._saturated = forward_closure(self.bg, limits=self.cfg.limits)
             except LimitExceeded as exc:
                 self._saturated_failed = True
                 self._warn(f"background saturation: {exc}")

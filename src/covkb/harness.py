@@ -300,6 +300,9 @@ def load_grid(path: str) -> GridConfig:
         raise ConfigError("capacities must be >= 0 (0 means unbounded)")
     if not all(0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
+    for key, values in (("capacities", capacities), ("fractions", fractions)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} repeats a value")
     return GridConfig(
         base=base,
         capacities=capacities,

@@ -110,7 +110,7 @@ class KnowledgeState:
             seed.append(rule)
             self._canonical[canonical_form(rule)] = rule.id
         self.b0_ids = frozenset(r.id for r in seed)
-        self.background = Background(seed, version=0)
+        self.background = Background(seed)
         self.oracle = CoverageOracle(self.background, self.coverage, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None

@@ -11,7 +11,7 @@ transitive coverer and is the forgetting priority (lowest goes first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
 
@@ -22,8 +22,6 @@ ClassVector = Dict[str, float]
 
 @dataclass
 class MetricsTable:
-    classes: Tuple[str, ...]
-    beta: float
     support: Dict[int, ClassVector]
     lhat: Dict[int, ClassVector]          # support_c - length, per class
     opt: Dict[int, ClassVector]
@@ -36,12 +34,11 @@ class MetricsTable:
 def compute_support(
     graph: CoverageGraph,
     classes: Sequence[str],
-    lengths: Optional[Mapping[int, float]] = None,
     order: Optional[Sequence[int]] = None,
 ) -> Dict[int, ClassVector]:
     """Per-node, per-class conservative support, leaves first (over `order`,
     the graph's topological order, when the caller already has it)."""
-    lengths = graph.lengths if lengths is None else lengths
+    lengths = graph.lengths
     if order is None:
         order = graph.topological_order()
     support: Dict[int, ClassVector] = {}
@@ -103,21 +100,20 @@ def optimality_row(
     return row, row[best], best
 
 
-def permanence_value(opt_value: float, coverer_opts: Iterable[float]) -> float:
-    """Optimality discounted by the best coverer (empty set counts as 0)."""
-    best = max(coverer_opts, default=NEG_INF)
-    return opt_value - max(0.0, best)
+def permanence_value(opt_value: float, best_coverer_opt: float) -> float:
+    """Optimality discounted by the best coverer's; a negative one, or -inf
+    for a rule with no coverer, counts as 0."""
+    return opt_value - max(0.0, best_coverer_opt)
 
 
 def compute_table(
     graph: CoverageGraph,
     beta: float,
     classes: Sequence[str],
-    lengths: Optional[Mapping[int, float]] = None,
 ) -> MetricsTable:
-    lengths = graph.lengths if lengths is None else lengths
+    lengths = graph.lengths
     order = graph.topological_order()
-    support = compute_support(graph, classes, lengths, order)
+    support = compute_support(graph, classes, order)
     lhat: Dict[int, ClassVector] = {}
     opt: Dict[int, ClassVector] = {}
     opt_generic: Dict[int, float] = {}
@@ -147,15 +143,12 @@ def compute_table(
     perm: Dict[int, ClassVector] = {}
     perm_generic: Dict[int, float] = {}
     for nid in graph.nodes:
-        row = {
-            c: opt[nid][c] - max(0.0, best_cov[nid][c]) for c in classes
-        }
+        opt_row, best_row = opt[nid], best_cov[nid]
+        row = {c: permanence_value(opt_row[c], best_row[c]) for c in classes}
         perm[nid] = row
-        perm_generic[nid] = max(row[c] for c in classes)
+        perm_generic[nid] = max(row.values())
 
     return MetricsTable(
-        classes=tuple(classes),
-        beta=beta,
         support=support,
         lhat=lhat,
         opt=opt,

@@ -161,10 +161,10 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def parse_program(text: str, first_id: int = 1) -> List[Rule]:
+def parse_program(text: str) -> List[Rule]:
     """Parse a `.kbr` document into rules, in file order.
 
-    Ids are assigned sequentially from `first_id`.  Class labels come from
+    Ids are assigned sequentially from 1.  Class labels come from
     the enclosing `#evidence` block; a `#length` directive attaches to the
     next clause only.  Raises ParseError on syntax errors, on a predicate
     reused at a different arity, and on an evidence class outside the
@@ -177,7 +177,7 @@ def parse_program(text: str, first_id: int = 1) -> List[Rule]:
     classes: Optional[set] = None
     pred_arity: dict = {}
     tokens: List[_Token] = []
-    next_id = first_id
+    next_id = 1
 
     def flush_clauses() -> None:
         nonlocal tokens, pending_length, next_id
@@ -263,9 +263,9 @@ def parse_program(text: str, first_id: int = 1) -> List[Rule]:
     return rules
 
 
-def parse_file(path, first_id: int = 1) -> List[Rule]:
+def parse_file(path) -> List[Rule]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), first_id=first_id)
+        return parse_program(fh.read())
 
 
 def scan_classes(text: str) -> Tuple[str, ...]:

@@ -3,6 +3,8 @@
 from typing import Dict, Mapping, Optional, Sequence
 
 from covkb.covgraph import CoverageGraph
+from covkb.deduce import Background, DeriveLimits, forward_closure, match_atom
+from covkb.rules import Atom, Rule
 
 ClassVector = Dict[str, float]
 
@@ -64,3 +66,15 @@ def brute_force_support(
             for c, m in masses.items():
                 row[c] += m * weight
     return support
+
+
+def derives_goal(
+    bg: Background,
+    extra: Sequence[Rule],
+    goal: Atom,
+    limits: DeriveLimits = DeriveLimits(),
+) -> bool:
+    """True iff ground `goal` follows from bg plus `extra` within limits:
+    a full saturation, then a lookup for a fact that `goal` is an instance of."""
+    store = forward_closure(bg.extended(extra), limits=limits)
+    return any(match_atom(f, goal, {}) is not None for f in store.candidates(goal))

@@ -305,7 +305,7 @@ def test_07_chess_convergence():
         assert elapsed < 60.0, f"single run took {elapsed:.1f}s"
         cons = consolidated_rules(state)
         all_targets = all(any(equivalent(c, t) for c in cons) for t in targets)
-        store, _ = forward_closure(state.background, limits=CHECK_LIMITS)
+        store = forward_closure(state.background, limits=CHECK_LIMITS)
         clean = not any(covers_some_negative(c, negatives, store) for c in cons)
         good += all_targets and clean
     report(7, good >= 8, f"{good}/10 seeds converged, slowest run {slow:.1f}s")

@@ -345,6 +345,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "heatmap.csv").exists()
 
+    @pytest.mark.parametrize(
+        "lists, key",
+        [
+            ("capacities = 20,20\nfractions = 0.5", "capacities"),
+            ("capacities = 20\nfractions = 0.5,0.50", "fractions"),
+        ],
+    )
+    def test_grid_repeated_value_exits_1(self, tmp_path, capsys, lists, key):
+        bad = tmp_path / "repeat.grid"
+        bad.write_text(f"scenario = {CHESS_SCN}\n{lists}\nrepetitions = 1\n")
+        assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {key} repeats a value\n"
+        assert not (tmp_path / "heatmap.csv").exists()
+
     def test_grid_unreadable_pool_exits_1(self, tmp_path, capsys):
         scn = tmp_path / "gone.scn"
         scn.write_text(

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -156,16 +157,16 @@ class TestPermanence:
     def test_hand_value_for_chained_ground_rule(self):
         # Published optimality inputs: rule at -5.557 under a coverer at
         # 12.863 in the same class.
-        assert permanence_value(-5.557, [12.863, 6.825, 2.69]) == pytest.approx(-18.42)
+        assert permanence_value(-5.557, max([12.863, 6.825, 2.69])) == pytest.approx(-18.42)
 
     def test_generic_is_max_over_classes(self):
-        plus = permanence_value(-5.557, [12.863])
-        minus = permanence_value(-14.479, [-22.825, -19.939])
+        plus = permanence_value(-5.557, 12.863)
+        minus = permanence_value(-14.479, max([-22.825, -19.939]))
         assert max(plus, minus) == pytest.approx(-14.479)
 
     def test_root_permanence_equals_optimality(self):
-        assert permanence_value(3.25, []) == 3.25
-        assert permanence_value(-1.5, [-7.0]) == -1.5  # negative coverers clamp to 0
+        assert permanence_value(3.25, float("-inf")) == 3.25  # no coverer
+        assert permanence_value(-1.5, -7.0) == -1.5  # negative coverers clamp to 0
 
     def test_family_table(self, family):
         state, ids = family
@@ -231,8 +232,9 @@ class TestScaleCovariance:
         state, _ = family
         k = 3.5
         base = compute_table(state.graph, 0.5, CLASSES)
-        lengths = {nid: state.graph.node_length(nid) * k for nid in state.graph.nodes}
-        scaled = compute_table(state.graph, 0.5, CLASSES, lengths=lengths)
+        graph = copy.copy(state.graph)
+        graph.lengths = {nid: length * k for nid, length in graph.lengths.items()}
+        scaled = compute_table(graph, 0.5, CLASSES)
         for nid in state.graph.nodes:
             for c in CLASSES:
                 assert scaled.support[nid][c] == pytest.approx(k * base.support[nid][c])

@@ -36,8 +36,8 @@ def test_variables_and_integers():
 
 
 def test_ids_sequential_in_file_order():
-    rules = parse_program("a. b. c.", first_id=5)
-    assert [r.id for r in rules] == [5, 6, 7]
+    rules = parse_program("a. b. c.")
+    assert [r.id for r in rules] == [1, 2, 3]
 
 
 def test_clause_may_span_lines():
