@@ -78,6 +78,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "run":
             cfg = load_scenario(args.scenario)
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             run_scenario(cfg, out_dir=args.out, seed=args.seed)
             return 0
         if args.command == "grid":

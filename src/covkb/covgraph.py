@@ -12,10 +12,10 @@ descendants, kept as intrinsic node mass.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set
 
 from .deduce import CoverageOracle
-from .rules import CANDIDATE, EVIDENCE, Atom, Compound, Rule, rule_length
+from .rules import EVIDENCE, Rule, rule_length
 
 
 class GraphError(Exception):
@@ -106,59 +106,6 @@ class CoverageGraph:
         self.residuals: Dict[int, Dict[str, float]] = {}
         self.revision = 0
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def build(cls, working: Iterable[Rule], oracle: CoverageOracle) -> "CoverageGraph":
-        g = cls()
-        rules = list(working)
-        for r in rules:
-            if r.id in g.nodes:
-                raise GraphError(f"duplicate node id {r.id}")
-            g._add_node(r, set())
-        for general in rules:
-            if general.origin == EVIDENCE:
-                continue  # evidence covers nothing
-            for specific in rules:
-                if specific.id == general.id:
-                    continue
-                if oracle.covers_pair(general, specific):
-                    g.full[general.id].add(specific.id)
-        g._recompute_structure(g.nodes)
-        return g
-
-    @classmethod
-    def from_structure(
-        cls,
-        specs: Mapping[int, Tuple[Optional[str], float]],
-        edges: Iterable[Tuple[int, int]],
-    ) -> "CoverageGraph":
-        """Synthetic graph from (class-label, length) specs and a raw relation.
-
-        Used by tests and the support oracle; bypasses deduction entirely.
-        Class-labeled nodes must be sinks.
-        """
-        g = cls()
-        for nid, (label, length) in specs.items():
-            rule = Rule(
-                id=nid,
-                head=Atom("node", (Compound(str(nid)),)),
-                class_label=label,
-                length_override=float(length),
-                origin=EVIDENCE if label is not None else CANDIDATE,
-            )
-            g._add_node(rule, set())
-        for u, v in edges:
-            if u not in g.nodes or v not in g.nodes:
-                raise GraphError(f"edge ({u},{v}) references unknown node")
-            if u == v:
-                raise GraphError("self edges are not allowed")
-            if g.nodes[u].class_label is not None:
-                raise GraphError("class-labeled nodes must have out-degree 0")
-            g.full[u].add(v)
-        g._recompute_structure(g.nodes)
-        return g
-
     # -- accessors ----------------------------------------------------------
 
     def __contains__(self, nid: int) -> bool:
@@ -216,7 +163,8 @@ class CoverageGraph:
             self.full[other_id].add(rule.id)
         # The graph was acyclic, so the only cycle an insert can close runs
         # through the new node.
-        self._recompute_structure([rule.id])
+        self._repair_cycle(rule.id)
+        self._recompute_structure()
 
     def replace_rule(self, rule: Rule) -> None:
         """Swap the stored rule object (protection flips); structure unchanged."""
@@ -256,7 +204,7 @@ class CoverageGraph:
         del self.full[nid]
         for targets in self.full.values():
             targets.discard(nid)
-        self._recompute_structure(())  # a removal closes no cycle
+        self._recompute_structure()  # a removal closes no cycle
 
     # -- internals -----------------------------------------------------------
 
@@ -266,8 +214,7 @@ class CoverageGraph:
         self.full[rule.id] = covered
         self.residuals[rule.id] = {}
 
-    def _recompute_structure(self, cycle_roots: Iterable[int]) -> None:
-        self._repair_cycles(cycle_roots)
+    def _recompute_structure(self) -> None:
         self.reduced = transitive_reduce(self.nodes.keys(), self.full)
         self.parents = {v: set() for v in self.nodes}
         for u, targets in self.reduced.items():
@@ -275,33 +222,28 @@ class CoverageGraph:
                 self.parents[v].add(u)
         self.revision += 1
 
-    def _repair_cycles(self, roots: Iterable[int]) -> None:
-        """Break the mutual-coverage cycles through `roots` deterministically.
+    def _repair_cycle(self, v: int) -> None:
+        """Break the mutual-coverage cycles through `v` deterministically.
 
         Mutual coverage means logical equivalence.  The cycles through v
         form its strongly connected component: v plus those of its
         descendants that reach v again.  Within it, nodes are ordered by
         (length, id) and only forward edges of that order survive, so the
-        shortest rule plays the generalisation role.  Components are
-        disjoint, so with every node as a root the first member of each
-        component repairs all of it and the others then find no cycle.
+        shortest rule plays the generalisation role.
         """
-        for v in roots:
-            below = _reachable(v, self.full)
-            if not any(v in self.full[u] for u in below):
-                continue  # nothing below v leads back to it
-            preds: Dict[int, List[int]] = {u: [] for u in below}
-            for u in below:
-                for w in self.full[u]:
-                    preds[w].append(u)
-            cycle = _reachable(v, preds)
-            rank = {
-                nid: pos
-                for pos, nid in enumerate(
-                    sorted(cycle, key=lambda n: (self.lengths[n], n))
-                )
+        below = _reachable(v, self.full)
+        if not any(v in self.full[u] for u in below):
+            return  # nothing below v leads back to it
+        preds: Dict[int, List[int]] = {u: [] for u in below}
+        for u in below:
+            for w in self.full[u]:
+                preds[w].append(u)
+        cycle = _reachable(v, preds)
+        rank = {
+            nid: pos
+            for pos, nid in enumerate(sorted(cycle, key=lambda n: (self.lengths[n], n)))
+        }
+        for nid in cycle:
+            self.full[nid] = {
+                w for w in self.full[nid] if w not in rank or rank[nid] < rank[w]
             }
-            for nid in cycle:
-                self.full[nid] = {
-                    w for w in self.full[nid] if w not in rank or rank[nid] < rank[w]
-                }

@@ -120,6 +120,8 @@ def _read(path: str, what: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {path} is not UTF-8: {exc}")
 
 
 def _parse_threshold(text: str) -> Threshold:
@@ -180,19 +182,28 @@ def load_scenario(path: str) -> ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"bad value for {key!r}")
 
-    limits = DeriveLimits(
-        max_depth=scalars.pop("max_depth", 10),
-        max_facts=scalars.pop("max_facts", 10000),
-        max_term_depth=scalars.pop("max_term_depth", 6),
-    )
     for mode_key in ("rule_rule_coverage", "rule_evidence_coverage"):
         if mode_key in top and top[mode_key] not in (SUBSUMPTION, DERIVATION):
             raise ConfigError(f"bad value for {mode_key!r}")
-    coverage = CoverageConfig(
-        rule_rule_mode=top.pop("rule_rule_coverage", SUBSUMPTION),
-        rule_evidence_mode=top.pop("rule_evidence_coverage", DERIVATION),
-        limits=limits,
-    )
+    try:
+        coverage = CoverageConfig(
+            rule_rule_mode=top.pop("rule_rule_coverage", SUBSUMPTION),
+            rule_evidence_mode=top.pop("rule_evidence_coverage", DERIVATION),
+            limits=DeriveLimits(
+                max_depth=scalars.pop("max_depth", 10),
+                max_facts=scalars.pop("max_facts", 10000),
+                max_term_depth=scalars.pop("max_term_depth", 6),
+            ),
+        )
+        policy = Policy(
+            beta=float(scalars.pop("beta", 0.5)),
+            theta_p=_parse_threshold(top.pop("theta_p_mode", AVG_OPT_CLAMPED)),
+            theta_d=_parse_threshold(top.pop("theta_d_mode", "fixed:-inf")),
+            forget_fraction=float(scalars.pop("forget_fraction", 0.25)),
+            consolidation_class=top.pop("consolidation_class", None),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     top_steps = scalars.pop("steps", None)
     background = resolve(top.pop("background", None))
@@ -232,25 +243,12 @@ def load_scenario(path: str) -> ScenarioConfig:
             )
         )
 
-    theta_p = _parse_threshold(top.pop("theta_p_mode", AVG_OPT_CLAMPED))
-    theta_d = _parse_threshold(top.pop("theta_d_mode", "fixed:-inf"))
-    consolidation_class = top.pop("consolidation_class", None)
     if top:
         raise ConfigError(f"unknown scenario keys {sorted(top)}")
 
     for phase in phase_cfgs:
         if phase.steps < 0:
             raise ConfigError("steps must be >= 0")
-    try:
-        policy = Policy(
-            beta=float(scalars.pop("beta", 0.5)),
-            theta_p=theta_p,
-            theta_d=theta_d,
-            forget_fraction=float(scalars.pop("forget_fraction", 0.25)),
-            consolidation_class=consolidation_class,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     cfg = ScenarioConfig(
         seed=int(scalars.pop("seed", 0)),
         arrival_p=float(scalars.pop("arrival_p", 0.5)),
@@ -264,6 +262,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError("arrival_p must lie in (0, 1]")
     if cfg.capacity < 0:
         raise ConfigError("capacity must be >= 0 (0 means unbounded)")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 
@@ -344,6 +344,9 @@ def scenario_classes(cfg: ScenarioConfig) -> Tuple[str, ...]:
             )
     if declared is None:
         raise ConfigError("no classes declared in any evidence pool")
+    wanted = cfg.policy.consolidation_class
+    if wanted is not None and wanted not in declared:
+        raise ConfigError(f"consolidation_class {wanted!r} is not a declared class {declared}")
     return declared
 
 
@@ -583,7 +586,7 @@ def step_csv_row(log: StepLog, classes: Sequence[str]) -> List[str]:
 
 
 def metrics_csv_text(state: KnowledgeState) -> str:
-    """Metrics dump: id, class, L, per-class support/lhat/opt, generics."""
+    """Metrics dump: id, class, L, per-class support/lhat (support - L)/opt, generics."""
     table = state.ensure_metrics()
     classes = state.classes
     buf = io.StringIO()
@@ -595,19 +598,11 @@ def metrics_csv_text(state: KnowledgeState) -> str:
     writer.writerow(head)
     for nid in sorted(state.graph.nodes):
         rule = state.graph.nodes[nid]
-        row = [
-            str(nid),
-            rule.class_label or "",
-            _fmt(state.graph.node_length(nid)),
-        ]
+        length = state.graph.node_length(nid)
+        row = [str(nid), rule.class_label or "", _fmt(length)]
         for c in classes:
-            row.extend(
-                [
-                    _fmt(table.support[nid][c]),
-                    _fmt(table.lhat[nid][c]),
-                    _fmt(table.opt[nid][c]),
-                ]
-            )
+            support = table.support[nid][c]
+            row.extend([_fmt(support), _fmt(support - length), _fmt(table.opt[nid][c])])
         row.extend(
             [
                 _fmt(table.opt_generic[nid]),
@@ -769,15 +764,7 @@ def restore_state(snapshot: Snapshot, cfg: ScenarioConfig) -> KnowledgeState:
                 id_map[rule.id] = new_ids[0]
 
     ingest_batch(protected)
-    if protected:
-        flagged = []
-        for old in protected:
-            nid = id_map[old.id]
-            promoted = state.graph.nodes[nid].with_protection(True)
-            state.graph.replace_rule(promoted)
-            flagged.append(promoted)
-        state.background = state.background.extended(flagged)
-        state.oracle.set_background(state.background)
+    state.set_protection([id_map[old.id] for old in protected], True)
     ingest_batch(rest)
     for old_id, res in snapshot.residuals.items():
         nid = id_map.get(old_id)

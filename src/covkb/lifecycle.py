@@ -110,8 +110,7 @@ class KnowledgeState:
             seed.append(rule)
             self._canonical[canonical_form(rule)] = rule.id
         self.b0_ids = frozenset(r.id for r in seed)
-        self.background = Background(seed)
-        self.oracle = CoverageOracle(self.background, self.coverage, self._keys, verdicts)
+        self.oracle = CoverageOracle(Background(seed), self.coverage, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None
         self._metrics_key: Optional[Tuple[int, float]] = None
@@ -124,6 +123,11 @@ class KnowledgeState:
         nid = self._next_id
         self._next_id += 1
         return nid
+
+    @property
+    def background(self) -> Background:
+        """B0 plus the consolidated rules; the oracle owns it."""
+        return self.oracle.bg
 
     def warn(self, message: str) -> None:
         self._warnings.append(message)
@@ -233,41 +237,42 @@ class KnowledgeState:
             return max(0.0, avg)
         return avg
 
+    def set_protection(self, ids: Sequence[int], flag: bool) -> None:
+        """Move nodes into (flag True) or out of the consolidated set.
+
+        Flips each node's protection and hands the oracle the background
+        with those rules added or dropped.
+        """
+        if not ids:
+            return
+        rules = [self.graph.nodes[nid].with_protection(flag) for nid in ids]
+        for rule in rules:
+            self.graph.replace_rule(rule)
+        bg = self.oracle.bg
+        self.oracle.set_background(bg.extended(rules) if flag else bg.without_ids(ids))
+
     def promote_pass(self) -> List[int]:
         table = self.ensure_metrics()
         theta = self._threshold(self.policy.theta_p, table)
         wanted_class = self.policy.consolidation_class
-        promoted: List[Rule] = []
-        for nid in sorted(self.graph.nodes):
-            rule = self.graph.nodes[nid]
-            if rule.protected or rule.origin != CANDIDATE:
-                continue  # evidence is never promotable
-            if table.opt_generic[nid] <= theta:
-                continue
-            if wanted_class is not None and table.argmax_class[nid] != wanted_class:
-                continue
-            promoted.append(rule.with_protection(True))
-        for rule in promoted:
-            self.graph.replace_rule(rule)
-        if promoted:
-            self.background = self.background.extended(promoted)
-            self.oracle.set_background(self.background)
-        return [r.id for r in promoted]
+        promoted = [
+            nid for nid, rule in sorted(self.graph.nodes.items())
+            if not rule.protected and rule.origin == CANDIDATE  # not evidence
+            and table.opt_generic[nid] > theta
+            and (wanted_class is None or table.argmax_class[nid] == wanted_class)
+        ]
+        self.set_protection(promoted, True)
+        return promoted
 
     def demote_pass(self) -> List[int]:
         table = self.ensure_metrics()
         theta = self._threshold(self.policy.theta_d, table)
-        demoted: List[int] = []
-        for nid in sorted(self.graph.nodes):
-            rule = self.graph.nodes[nid]
-            if not rule.protected or rule.origin != CANDIDATE:
-                continue  # B0 is not a node and can never be demoted
-            if table.opt_generic[nid] < theta:
-                self.graph.replace_rule(rule.with_protection(False))
-                demoted.append(nid)
-        if demoted:
-            self.background = self.background.without_ids(demoted)
-            self.oracle.set_background(self.background)
+        demoted = [
+            nid for nid, rule in sorted(self.graph.nodes.items())
+            if rule.protected and rule.origin == CANDIDATE  # B0 is never a node
+            and table.opt_generic[nid] < theta
+        ]
+        self.set_protection(demoted, False)
         return demoted
 
     # -- the step ------------------------------------------------------------

@@ -23,7 +23,6 @@ ClassVector = Dict[str, float]
 @dataclass
 class MetricsTable:
     support: Dict[int, ClassVector]
-    lhat: Dict[int, ClassVector]          # support_c - length, per class
     opt: Dict[int, ClassVector]
     opt_generic: Dict[int, float]
     argmax_class: Dict[int, str]
@@ -114,13 +113,11 @@ def compute_table(
     lengths = graph.lengths
     order = graph.topological_order()
     support = compute_support(graph, classes, order)
-    lhat: Dict[int, ClassVector] = {}
     opt: Dict[int, ClassVector] = {}
     opt_generic: Dict[int, float] = {}
     argmax: Dict[int, str] = {}
     for nid, row in support.items():
         length = lengths[nid]
-        lhat[nid] = {c: row[c] - length for c in classes}
         opt[nid], opt_generic[nid], argmax[nid] = optimality_row(
             length, row, beta, classes
         )
@@ -150,7 +147,6 @@ def compute_table(
 
     return MetricsTable(
         support=support,
-        lhat=lhat,
         opt=opt,
         opt_generic=opt_generic,
         argmax_class=argmax,

@@ -16,6 +16,7 @@ unwritable from user input.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -97,9 +98,6 @@ class _ClauseParser:
             raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.col)
         self.i += 1
         return tok
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
 
     def term(self):
         tok = self._peek()
@@ -184,6 +182,7 @@ def parse_program(text: str) -> List[Rule]:
         parser = _ClauseParser(tokens)
         # Parse only complete clauses; keep a trailing fragment for later lines.
         while any(t.kind == "PERIOD" for t in tokens[parser.i :]):
+            start = tokens[parser.i]
             head, body = parser.clause()
             for atom in (head,) + body:
                 known = pred_arity.get(atom.pred)
@@ -191,14 +190,12 @@ def parse_program(text: str) -> List[Rule]:
                     raise ParseError(
                         f"predicate {atom.pred!r} used with arity {atom.arity}, "
                         f"previously {known}",
-                        tokens[0].line,
-                        tokens[0].col,
+                        start.line,
+                        start.col,
                     )
                 pred_arity[atom.pred] = atom.arity
             if section == EVIDENCE and body:
-                raise ParseError(
-                    "evidence clauses must be facts", tokens[0].line, tokens[0].col
-                )
+                raise ParseError("evidence clauses must be facts", start.line, start.col)
             rules.append(
                 Rule(
                     id=next_id,
@@ -246,8 +243,8 @@ def parse_program(text: str) -> List[Rule]:
                     pending_length = float(args[0])
                 except ValueError:
                     raise ParseError(f"bad length value {args[0]!r}", line_no, 1)
-                if pending_length < 0:
-                    raise ParseError("length must be >= 0", line_no, 1)
+                if not (math.isfinite(pending_length) and pending_length >= 0):
+                    raise ParseError("length must be finite and >= 0", line_no, 1)
             else:
                 raise ParseError(f"unknown directive #{name}", line_no, 1)
             continue
@@ -265,7 +262,11 @@ def parse_program(text: str) -> List[Rule]:
 
 def parse_file(path) -> List[Rule]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    return parse_program(text)
 
 
 def scan_classes(text: str) -> Tuple[str, ...]:

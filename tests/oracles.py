@@ -1,12 +1,86 @@
 """Test-only reference oracles, independent of the library's fast paths."""
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from covkb.covgraph import CoverageGraph
 from covkb.deduce import Background, DeriveLimits, forward_closure, match_atom
-from covkb.rules import Atom, Rule
+from covkb.rules import CANDIDATE, EVIDENCE, Atom, Compound, Rule, rule_length
 
 ClassVector = Dict[str, float]
+
+
+class _EdgeListOracle:
+    """Coverage oracle that answers from a fixed (general, specific) list."""
+
+    def __init__(self, edges: Iterable[Tuple[int, int]]):
+        self.edges = set(edges)
+
+    def covers_pair(self, general: Rule, specific: Rule) -> bool:
+        return (general.id, specific.id) in self.edges
+
+
+def graph_from_structure(
+    specs: Mapping[int, Tuple[Optional[str], float]],
+    edges: Iterable[Tuple[int, int]],
+) -> CoverageGraph:
+    """Graph over `node(<id>)` rules from (class-label, length) specs.
+
+    The nodes are inserted in spec order through `insert_rule`, against an
+    oracle that answers from `edges`, so cycle repair and reduction run as
+    they do at runtime.  Labelled nodes are evidence, which covers nothing,
+    so an edge out of one is refused rather than silently dropped.
+    """
+    edges = list(edges)
+    for u, v in edges:
+        if u not in specs or v not in specs or u == v:
+            raise ValueError(f"edge ({u},{v}) is a self edge or names an unknown node")
+        if specs[u][0] is not None:
+            raise ValueError(f"edge ({u},{v}) leaves labelled node {u}")
+    oracle = _EdgeListOracle(edges)
+    g = CoverageGraph()
+    for nid, (label, length) in specs.items():
+        rule = Rule(
+            id=nid,
+            head=Atom("node", (Compound(str(nid)),)),
+            class_label=label,
+            length_override=float(length),
+            origin=EVIDENCE if label is not None else CANDIDATE,
+        )
+        g.insert_rule(rule, oracle)
+    return g
+
+
+def reference_full(rules: Iterable[Rule], oracle) -> Dict[int, Set[int]]:
+    """The full relation a global pass gives over `rules`.
+
+    The pairwise relation, less each edge u->w that lies on a cycle (w
+    reaches u) unless u comes before w in (length, id) order.
+    """
+    rules = list(rules)
+    pairwise: Dict[int, Set[int]] = {
+        g.id: {
+            s.id for s in rules
+            if s.id != g.id and g.origin != EVIDENCE and oracle.covers_pair(g, s)
+        }
+        for g in rules
+    }
+
+    def reaches(src: int, dst: int) -> bool:
+        seen, stack = {src}, [src]
+        while stack:
+            for w in pairwise[stack.pop()]:
+                if w == dst:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    rank = {r.id: (rule_length(r), r.id) for r in rules}
+    return {
+        u: {w for w in targets if rank[u] < rank[w] or not reaches(w, u)}
+        for u, targets in pairwise.items()
+    }
 
 
 class SizeCapExceeded(Exception):

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from covkb.covgraph import CoverageGraph
 from covkb.deduce import (
     DeriveLimits,
     forward_closure,
@@ -29,7 +28,7 @@ from covkb.parser import parse_file, parse_program
 from covkb.rules import rule_length
 
 from conftest import CHESS_DIR, FAMILY_SCN, family_state, table_id_map
-from oracles import brute_force_support
+from oracles import brute_force_support, graph_from_structure
 
 CLASSES = ("+", "-")
 
@@ -123,7 +122,7 @@ def random_graph(rng, max_nodes=40, max_classes=3):
     for i in range(n):
         if i not in have_out and rng.random() < 0.85:
             specs[i] = (rng.choice(classes), specs[i][1])
-    return CoverageGraph.from_structure(specs, edges), classes
+    return graph_from_structure(specs, edges), classes
 
 
 def test_03_conservation_on_random_dags():
@@ -185,7 +184,7 @@ def labelled(n, edges):
             specs[i] = (label, length)
         else:
             specs[i] = (None, length)
-    return CoverageGraph.from_structure(specs, edges)
+    return graph_from_structure(specs, edges)
 
 
 def test_04_oracle_equivalence():
@@ -217,7 +216,7 @@ def test_05_residual_mechanics():
     # branch over leaf A (L = 16): two coverers B and C, each under its own
     # root (D over B, E over C); transitive pairs included as a coverage
     # oracle would produce them.
-    g = CoverageGraph.from_structure(
+    g = graph_from_structure(
         {
             1: ("+", 16.0),       # A
             2: (None, 3.0),       # B

@@ -24,6 +24,7 @@ from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
 from covkb.rules import EVIDENCE, Rule, rule_length
+from oracles import graph_from_structure, reference_full
 
 
 def reduce_by_edge_removal(ids, edges):
@@ -131,7 +132,7 @@ class TestFamilyGraph:
 
 class TestStructureBasics:
     def test_single_evidence_node(self):
-        g = CoverageGraph.from_structure({1: ("+", 5.0)}, [])
+        g = graph_from_structure({1: ("+", 5.0)}, [])
         assert g.leaves() == [1] and g.roots() == [1]
 
     def test_alpha_equivalent_pair_breaks_to_single_edge(self):
@@ -140,7 +141,9 @@ class TestStructureBasics:
         (a,) = parse_program("p(X) :- q(X).")
         (b,) = parse_program("p(Y) :- q(Y).")
         b = Rule(**{**b.__dict__, "id": 2})
-        g = CoverageGraph.build([a, b], oracle)
+        g = CoverageGraph()
+        for rule in (a, b):
+            g.insert_rule(rule, oracle)
         # equal lengths, so the lower id wins the coverer role
         assert g.full[a.id] == {b.id}
         assert g.full[b.id] == set()
@@ -149,7 +152,7 @@ class TestStructureBasics:
         # A non-transitive 3-cycle 1 -> 2 -> 3 -> 1 ordered (length, id) as
         # 2 < 3 < 1, and an equal-length 2-cycle 4 <-> 5 where the lower id
         # wins; 3 -> 4, 1 -> 6, 5 -> 6 and 7 -> 1 lie on no cycle.
-        g = CoverageGraph.from_structure(
+        g = graph_from_structure(
             {
                 1: (None, 5.0), 2: (None, 3.0), 3: (None, 4.0),
                 4: (None, 2.0), 5: (None, 2.0), 6: ("+", 8.0), 7: (None, 1.0),
@@ -159,10 +162,6 @@ class TestStructureBasics:
         assert g.full == {
             1: {6}, 2: {3}, 3: {1, 4}, 4: {5}, 5: {6}, 6: set(), 7: {1},
         }
-
-    def test_labeled_node_must_be_sink(self):
-        with pytest.raises(GraphError):
-            CoverageGraph.from_structure({1: ("+", 5.0), 2: (None, 3.0)}, [(1, 2)])
 
     def test_insert_rule_covering_all_roots(self, family):
         state, ids = family
@@ -184,7 +183,7 @@ class TestRemoveRule:
         # The full relation carries the transitive pair (t, e) as a real
         # coverage oracle would; reduction hides it until a removal
         # re-exposes it.
-        return CoverageGraph.from_structure(
+        return graph_from_structure(
             {1: (None, 2.0), 2: (None, 3.0), 3: (None, 4.0), 4: ("+", 8.0)},
             [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)],
         )
@@ -203,7 +202,7 @@ class TestRemoveRule:
         assert g.residual(2, "-") == pytest.approx(0.5)
 
     def test_isolated_node_mass_lost(self):
-        g = CoverageGraph.from_structure({1: (None, 5.0)}, [])
+        g = graph_from_structure({1: (None, 5.0)}, [])
         g.set_residual(1, "+", 3.0)
         g.remove_rule(1)
         assert len(g) == 0  # the 3.0 bits are gone with it
@@ -221,7 +220,7 @@ class TestRemoveRule:
     def test_internal_removal_re_exposes_sole_path(self):
         # chain 1 -> 2 -> 3 plus the transitive pair (1, 3): dropping 2
         # must surface the direct edge so the leaf mass still reaches 1
-        g = CoverageGraph.from_structure(
+        g = graph_from_structure(
             {1: (None, 1.0), 2: (None, 2.0), 3: ("+", 8.0)},
             [(1, 2), (1, 3), (2, 3)],
         )
@@ -271,7 +270,7 @@ class TestRandomGraphInvariants:
             for i in sinks:
                 if rng.random() < 0.7:
                     specs[i] = ("+", specs[i][1])
-            g = CoverageGraph.from_structure(specs, edges)
+            g = graph_from_structure(specs, edges)
             full_closure = closure(sorted(g.nodes), g.full)
             reduced_closure = closure(sorted(g.nodes), g.reduced)
             assert full_closure == reduced_closure
@@ -349,10 +348,10 @@ class TestMutationInvariants:
             assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
             # local cycle repair leaves the relation a global pass would
-            assert CoverageGraph.build(g.nodes.values(), oracle).full == g.full
+            assert reference_full(g.nodes.values(), oracle) == g.full
             assert state.ensure_metrics() == compute_table(g, state.policy.beta, state.classes)
 
     def test_replace_rule_only_flips_protection(self):
-        g = CoverageGraph.from_structure({1: (None, 2.0)}, [])
+        g = graph_from_structure({1: (None, 2.0)}, [])
         with pytest.raises(GraphError):
             g.replace_rule(replace(g.nodes[1], class_label="+"))

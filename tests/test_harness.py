@@ -20,13 +20,16 @@ from covkb.harness import (
     step_csv_header,
     write_snapshot,
 )
-from covkb.covgraph import CoverageGraph
 from covkb.metrics import compute_table
 from covkb.rules import canonical_form
 
 from conftest import CHESS_DIR, FAMILY_KBR, FAMILY_SCN
+from oracles import graph_from_structure
 
 CHESS_SCN = os.path.join(CHESS_DIR, "chess.scn")
+FAMILY_POOLS = "".join(
+    f"{key} = {FAMILY_KBR}\n" for key in ("background", "evidence", "candidates")
+)
 INCREMENTAL_SCN = os.path.join(CHESS_DIR, "incremental.scn")
 GRID = os.path.join(CHESS_DIR, "grid.grid")
 
@@ -140,14 +143,14 @@ class TestRunScenario:
 
 class TestExports:
     def test_dot_single_edge(self):
-        g = CoverageGraph.from_structure({1: (None, 2.0), 2: ("+", 5.0)}, [(1, 2)])
+        g = graph_from_structure({1: (None, 2.0), 2: ("+", 5.0)}, [(1, 2)])
         t = compute_table(g, 0.5, ("+", "-"))
         dot = export_dot(g, t, ("+", "-"))
         assert dot.count("->") == 1
         assert dot.startswith("digraph")
 
     def test_dot_empty_graph(self):
-        g = CoverageGraph.from_structure({}, [])
+        g = graph_from_structure({}, [])
         t = compute_table(g, 0.5, ("+",))
         dot = export_dot(g, t, ("+",))
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
@@ -317,13 +320,61 @@ class TestCli:
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize(
-        "line", ["beta = 2", "forget_fraction = 0", "capacity = -1"]
+        "line",
+        [
+            "beta = 2", "forget_fraction = 0", "capacity = -1", "max_depth = 0",
+            "max_facts = -1", "max_term_depth = 0", "seed = -1",
+        ],
     )
     def test_out_of_range_scenario_value(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.scn"
-        bad.write_text(f"steps = 3\n{line}\n")
+        bad.write_text(f"{FAMILY_POOLS}steps = 3\n{line}\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "steps.csv").exists()
+
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        assert cli_main(["run", FAMILY_SCN, "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not (tmp_path / "steps.csv").exists()
+
+    def test_grid_negative_base_seed_exits_1(self, tmp_path, capsys):
+        scn = tmp_path / "neg.scn"
+        scn.write_text(f"{FAMILY_POOLS}steps = 3\nseed = -1\n")
+        grid = tmp_path / "neg.grid"
+        grid.write_text(f"scenario = {scn}\ncapacities = 5\nfractions = 0.5\nrepetitions = 1\n")
+        assert cli_main(["grid", str(grid), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "heatmap.csv").exists()
+
+    def test_undeclared_consolidation_class_exits_1(self, tmp_path, capsys):
+        # The chess pools declare + and -, so `pos` could never consolidate.
+        scn = tmp_path / "pos.scn"
+        scn.write_text(
+            "steps = 200\ncapacity = 60\nconsolidation_class = pos\n"
+            + "".join(
+                f"{key} = {CHESS_DIR}/{key}.kbr\n"
+                for key in ("background", "evidence", "candidates")
+            )
+        )
+        assert cli_main(["run", str(scn), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: consolidation_class 'pos' is not a declared class")
+        assert not (tmp_path / "steps.csv").exists()
+
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, command):
+        pool = tmp_path / "latin1.kbr"
+        pool.write_bytes("#evidence +\np(jos\xe9).\n".encode("latin-1"))
+        scn = tmp_path / "latin1.scn"
+        scn.write_text(f"steps = 3\nevidence = {pool}\n")
+        if command == "parse":
+            argv = ["parse", str(pool)]
+        else:
+            argv = ["run", str(scn), "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(pool) in err and err.count("\n") == 1
 
     def test_grid_duplicate_key_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "dup.grid"

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from covkb.covgraph import CoverageGraph
 from covkb.metrics import (
     compute_support,
     compute_table,
@@ -12,7 +11,7 @@ from covkb.metrics import (
     permanence_value,
 )
 
-from oracles import SizeCapExceeded, brute_force_support
+from oracles import SizeCapExceeded, brute_force_support, graph_from_structure
 
 
 CLASSES = ("+", "-")
@@ -20,7 +19,7 @@ CLASSES = ("+", "-")
 
 def diamond():
     # leaf e (L=8, class +) under a and b, both under t
-    return CoverageGraph.from_structure(
+    return graph_from_structure(
         {1: (None, 2.0), 2: (None, 3.0), 3: (None, 4.0), 4: ("+", 8.0)},
         [(1, 2), (1, 3), (2, 4), (3, 4)],
     )
@@ -28,7 +27,7 @@ def diamond():
 
 class TestComputeSupport:
     def test_single_edge(self):
-        g = CoverageGraph.from_structure(
+        g = graph_from_structure(
             {1: (None, 2.0), 2: ("+", 5.0)}, [(1, 2)]
         )
         s = compute_support(g, CLASSES)
@@ -63,13 +62,13 @@ class TestComputeSupport:
         assert s[ids[59]]["+"] == pytest.approx(17.844)
 
     def test_residual_counts_for_every_class_on_leaf(self):
-        g = CoverageGraph.from_structure({1: ("+", 5.0)}, [])
+        g = graph_from_structure({1: ("+", 5.0)}, [])
         g.set_residual(1, "-", 2.5)
         s = compute_support(g, CLASSES)
         assert s[1] == {"+": 5.0, "-": 2.5}
 
     def test_unlabeled_leaf_contributes_residual_only(self):
-        g = CoverageGraph.from_structure({1: (None, 9.0), 2: (None, 1.0)}, [(2, 1)])
+        g = graph_from_structure({1: (None, 9.0), 2: (None, 1.0)}, [(2, 1)])
         g.set_residual(1, "+", 4.0)
         s = compute_support(g, CLASSES)
         assert s[1]["+"] == pytest.approx(4.0)
@@ -85,7 +84,7 @@ class TestConservation:
         assert all(b <= 1e-9 * total for b in balance.values())
 
     def test_empty_graph(self):
-        g = CoverageGraph.from_structure({}, [])
+        g = graph_from_structure({}, [])
         assert conservation_check(g, {}, CLASSES) == {"+": 0.0, "-": 0.0}
 
     def test_hundred_random_dags(self):
@@ -120,7 +119,7 @@ def random_dag(rng, max_nodes=40, n_classes=3, p_edge=0.15):
         if i not in with_out and rng.random() < 0.8:
             label, length = None, specs[i][1]
             specs[i] = (rng.choice(classes), length)
-    return CoverageGraph.from_structure(specs, edges), classes
+    return graph_from_structure(specs, edges), classes
 
 
 class TestOptimality:
@@ -180,7 +179,7 @@ class TestPermanence:
 
     def test_transitive_not_just_direct(self):
         # chain t -> m -> leaf; t is a transitive coverer of the leaf
-        g = CoverageGraph.from_structure(
+        g = graph_from_structure(
             {1: (None, 1.0), 2: (None, 30.0), 3: ("+", 9.0)},
             [(1, 2), (2, 3)],
         )
@@ -192,7 +191,7 @@ class TestPermanence:
 
 class TestBruteForceOracle:
     def test_chain_carries_full_mass(self):
-        g = CoverageGraph.from_structure(
+        g = graph_from_structure(
             {1: (None, 1.0), 2: (None, 1.0), 3: ("+", 7.0)}, [(1, 2), (2, 3)]
         )
         bf = brute_force_support(g, ("+",))
@@ -212,7 +211,7 @@ class TestBruteForceOracle:
 
     def test_size_cap(self):
         specs = {i: (None, 1.0) for i in range(13)}
-        g = CoverageGraph.from_structure(specs, [])
+        g = graph_from_structure(specs, [])
         with pytest.raises(SizeCapExceeded):
             brute_force_support(g, ("+",))
 

@@ -122,3 +122,30 @@ class TestErrors:
     def test_uppercase_predicate_rejected(self):
         with pytest.raises(ParseError):
             parse_program("Pred(a).")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_length(self, value):
+        with pytest.raises(ParseError, match="finite") as err:
+            parse_program(f"p(a).\n#length {value}\nq(a).")
+        assert (err.value.line, err.value.col) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "text, match, col",
+        [
+            ("p(a). q(a,b). p(a,b).", "arity", 15),
+            ("#evidence +\np(a). q(b). r(a) :- p(a).", "facts", 13),
+        ],
+    )
+    def test_error_points_at_failing_clause(self, text, match, col):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_program(text)
+        assert err.value.col == col
+        assert err.value.line == text.count("\n") + 1
+
+
+def test_parse_file_non_utf8(tmp_path):
+    path = tmp_path / "latin1.kbr"
+    path.write_bytes("p(jos\xe9).\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        parse_file(path)
+    assert str(path) in str(err.value)
