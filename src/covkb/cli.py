@@ -13,6 +13,7 @@ from .harness import (
     export_dot,
     load_grid,
     load_scenario,
+    make_out_dir,
     metrics_csv_text,
     run_grid,
     run_scenario,
@@ -84,14 +85,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "grid":
             grid = load_grid(args.gridfile)
+            make_out_dir(args.out)
             rows, failures = run_grid(grid, jobs=args.jobs)
-            os.makedirs(args.out, exist_ok=True)
             write_heatmap_csv(rows, os.path.join(args.out, "heatmap.csv"))
             for failure in failures:
                 print(f"warning: {failure}", file=sys.stderr)
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

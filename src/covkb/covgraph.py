@@ -6,6 +6,12 @@ edges of a (length, id) order, and its transitive reduction, which is
 unique for DAGs and is what the support metrics propagate over.
 Evidence nodes never cover anything, so they are always sinks.
 
+Each node also keeps a bitmask of its strict descendants (bit = node id).
+An insert or removal changes the descendants of its node's ancestors only,
+so it refreshes masks and reduction over that ancestor cone alone.  The
+refresh reads each node's own `full` edges, so it stays exact when the
+relation is not transitive, as coverage under derivation limits need not be.
+
 Each node carries a per-class residual: support inherited from forgotten
 descendants, kept as intrinsic node mass.
 """
@@ -29,6 +35,8 @@ def transitive_reduce(
 
     The relation must be acyclic (GraphError otherwise).  An edge u->v is
     dropped exactly when v is a strict descendant of another child of u.
+    No mutation calls it: it is the global reference that the graph's local
+    upkeep must equal.
     """
     ids = sorted(node_ids)
     index = {v: i for i, v in enumerate(ids)}
@@ -74,10 +82,10 @@ def _topo_order(ids: Iterable[int], edges: Mapping[int, Set[int]]) -> List[int]:
     return order
 
 
-def _reachable(start: int, edges: Mapping[int, Iterable[int]]) -> Set[int]:
-    """`start` and every node reachable from it over `edges`."""
-    seen = {start}
-    stack = [start]
+def _reachable(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> Set[int]:
+    """`starts` and every node reachable from them over `edges`."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         for w in edges[stack.pop()]:
             if w not in seen:
@@ -90,7 +98,8 @@ class CoverageGraph:
     """Mutable coverage DAG owned by a single knowledge-base instance.
 
     `lengths` holds each node's description length, computed once when the
-    node enters (`rule_length`, so `length_override` wins).  `revision`
+    node enters (`rule_length`, so `length_override` wins).  `desc` holds
+    each node's strict descendants over `full` as a bitmask.  `revision`
     counts the mutations a metric can see: `insert_rule`, `remove_rule` and
     `set_residual` each bump it, `replace_rule` does not, since protection
     flags enter no metric.  Callers cache derived tables against the
@@ -103,6 +112,7 @@ class CoverageGraph:
         self.full: Dict[int, Set[int]] = {}
         self.reduced: Dict[int, Set[int]] = {}
         self.parents: Dict[int, Set[int]] = {}
+        self.desc: Dict[int, int] = {}
         self.residuals: Dict[int, Dict[str, float]] = {}
         self.revision = 0
 
@@ -162,9 +172,11 @@ class CoverageGraph:
         for other_id in pairs_in:
             self.full[other_id].add(rule.id)
         # The graph was acyclic, so the only cycle an insert can close runs
-        # through the new node.
+        # through the new node, among its ancestors: repair drops edges only
+        # inside this cone, taken before it.
+        cone = _reachable(pairs_in | {rule.id}, self.parents)
         self._repair_cycle(rule.id)
-        self._recompute_structure()
+        self._refresh(cone)
 
     def replace_rule(self, rule: Rule) -> None:
         """Swap the stored rule object (protection flips); structure unchanged."""
@@ -198,13 +210,17 @@ class CoverageGraph:
                 bucket = self.residuals[parent]
                 for label, value in amounts.items():
                     bucket[label] = bucket.get(label, 0.0) + value * share
-        del self.nodes[nid]
-        del self.lengths[nid]
-        del self.residuals[nid]
-        del self.full[nid]
-        for targets in self.full.values():
-            targets.discard(nid)
-        self._recompute_structure()  # a removal closes no cycle
+        cone = _reachable((nid,), self.parents)
+        cone.discard(nid)  # the strict ancestors: the only nodes that reached nid
+        for u in cone:
+            self.full[u].discard(nid)
+        for p in self.parents.pop(nid):
+            self.reduced[p].discard(nid)
+        for c in self.reduced.pop(nid):
+            self.parents[c].discard(nid)
+        for table in (self.nodes, self.lengths, self.residuals, self.full, self.desc):
+            del table[nid]
+        self._refresh(cone)
 
     # -- internals -----------------------------------------------------------
 
@@ -212,14 +228,36 @@ class CoverageGraph:
         self.nodes[rule.id] = rule
         self.lengths[rule.id] = rule_length(rule)
         self.full[rule.id] = covered
+        self.reduced[rule.id] = set()
+        self.parents[rule.id] = set()
         self.residuals[rule.id] = {}
 
-    def _recompute_structure(self) -> None:
-        self.reduced = transitive_reduce(self.nodes.keys(), self.full)
-        self.parents = {v: set() for v in self.nodes}
-        for u, targets in self.reduced.items():
-            for v in targets:
-                self.parents[v].add(u)
+    def _refresh(self, cone: Set[int]) -> None:
+        """Recompute `desc`, `reduced` and `parents` over `cone`, leaves first.
+
+        `cone` must hold every node whose `full` edges changed, with all
+        its ancestors; no other node's descendants can have changed.  A
+        child c of u is kept in the reduction exactly when no other child
+        of u reaches it.  GraphError if the cone has a cycle.
+        """
+        full, desc, reduced, parents = self.full, self.desc, self.reduced, self.parents
+        order = _topo_order(cone, {u: full[u] & cone for u in cone})
+        for u in reversed(order):
+            children = full[u]
+            redundant = 0
+            for c in children:
+                redundant |= desc[c]
+            kept = {c for c in children if not (1 << c) & redundant}
+            mask = redundant  # a dropped child's bit is already in it
+            for c in kept:
+                mask |= 1 << c
+            desc[u] = mask
+            old = reduced[u]
+            for c in old - kept:
+                parents[c].discard(u)
+            for c in kept - old:
+                parents[c].add(u)
+            reduced[u] = kept
         self.revision += 1
 
     def _repair_cycle(self, v: int) -> None:
@@ -231,14 +269,14 @@ class CoverageGraph:
         (length, id) and only forward edges of that order survive, so the
         shortest rule plays the generalisation role.
         """
-        below = _reachable(v, self.full)
+        below = _reachable((v,), self.full)
         if not any(v in self.full[u] for u in below):
             return  # nothing below v leads back to it
         preds: Dict[int, List[int]] = {u: [] for u in below}
         for u in below:
             for w in self.full[u]:
                 preds[w].append(u)
-        cycle = _reachable(v, preds)
+        cycle = _reachable((v,), preds)
         rank = {
             nid: pos
             for pos, nid in enumerate(sorted(cycle, key=lambda n: (self.lengths[n], n)))

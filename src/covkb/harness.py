@@ -124,6 +124,14 @@ def _read(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what}: {path} is not UTF-8: {exc}")
 
 
+def make_out_dir(path: str) -> None:
+    """Create the output directory `path` if missing; ConfigError if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def _parse_threshold(text: str) -> Threshold:
     if text == AVG_OPT:
         return Threshold(AVG_OPT)
@@ -420,7 +428,7 @@ def _simulate(
     writer = None
     fh = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
         fh = open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8", newline="")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(step_csv_header(state.classes))
@@ -712,8 +720,7 @@ def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
 
 
 def load_snapshot(path: str) -> Snapshot:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read(path, "snapshot").splitlines()
     if not lines or not lines[0].startswith("#snapshot"):
         raise ConfigError("not a snapshot file")
     classes: Tuple[str, ...] = ()

@@ -39,15 +39,19 @@ def graph_from_structure(
     oracle = _EdgeListOracle(edges)
     g = CoverageGraph()
     for nid, (label, length) in specs.items():
-        rule = Rule(
-            id=nid,
-            head=Atom("node", (Compound(str(nid)),)),
-            class_label=label,
-            length_override=float(length),
-            origin=EVIDENCE if label is not None else CANDIDATE,
-        )
-        g.insert_rule(rule, oracle)
+        g.insert_rule(node_rule(nid, label, length), oracle)
     return g
+
+
+def node_rule(nid: int, label: Optional[str], length: float) -> Rule:
+    """The fact `node(<nid>)`: evidence of class `label`, or a candidate."""
+    return Rule(
+        id=nid,
+        head=Atom("node", (Compound(str(nid)),)),
+        class_label=label,
+        length_override=float(length),
+        origin=EVIDENCE if label is not None else CANDIDATE,
+    )
 
 
 def reference_full(rules: Iterable[Rule], oracle) -> Dict[int, Set[int]]:

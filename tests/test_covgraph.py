@@ -24,7 +24,7 @@ from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
 from covkb.rules import EVIDENCE, Rule, rule_length
-from oracles import graph_from_structure, reference_full
+from oracles import _EdgeListOracle, graph_from_structure, node_rule, reference_full
 
 
 def reduce_by_edge_removal(ids, edges):
@@ -96,6 +96,15 @@ def closure(ids, edges):
             queue.extend(edges.get(x, ()))
         out[start] = seen
     return out
+
+
+def assert_structure_exact(g):
+    """reduced, parents and descendant masks equal a from-scratch pass."""
+    ids = sorted(g.nodes)
+    assert g.reduced == transitive_reduce(ids, g.full)
+    assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
+    reach = closure(ids, g.full)
+    assert g.desc == {v: sum(1 << w for w in reach[v]) for v in ids}
 
 
 class TestFamilyGraph:
@@ -317,6 +326,44 @@ OPS = st.lists(
 )
 
 
+class TestLocalUpkeep:
+    """Structure upkeep over arbitrary coverage relations.
+
+    Verdicts cut off by derivation limits need not be transitive, so the
+    relations here are random: most are not transitive, many are cyclic.
+    """
+
+    def test_random_relations_keep_structure_exact(self):
+        rng = random.Random(8)
+        for _ in range(80):
+            n = rng.randint(3, 14)
+            density = rng.choice([0.15, 0.3, 0.5])
+            oracle = _EdgeListOracle(
+                (u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < density
+            )
+            g = CoverageGraph()
+            absent = list(range(n))
+            for _ in range(3 * n):
+                if absent and (not g.nodes or rng.random() < 0.6):
+                    nid = absent.pop(rng.randrange(len(absent)))
+                    label = rng.choice([None, None, None, "+"])
+                    g.insert_rule(node_rule(nid, label, rng.choice([1, 2, 3.5])), oracle)
+                else:
+                    nid = rng.choice(sorted(g.nodes))
+                    g.remove_rule(nid)
+                    absent.append(nid)  # ids come back, so stale bits would show
+                assert_structure_exact(g)
+
+    def test_removal_adds_no_edge_the_relation_lacks(self):
+        # 1 covers 2 and 2 covers 3, but 1 does not cover 3.
+        g = graph_from_structure({1: (None, 1), 2: (None, 2), 3: ("+", 3)}, [(1, 2), (2, 3)])
+        g.remove_rule(2)
+        assert g.reduced == {1: set(), 3: set()}
+        assert g.parents == {1: set(), 3: set()}
+        assert g.desc == {1: 0, 3: 0}
+
+
 class TestMutationInvariants:
     @settings(max_examples=60, deadline=None)
     @given(OPS)
@@ -344,8 +391,7 @@ class TestMutationInvariants:
 
             ids = sorted(g.nodes)
             assert sorted(_topo_order(ids, g.full)) == ids  # GraphError on a cycle
-            assert g.reduced == transitive_reduce(ids, g.full)
-            assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
+            assert_structure_exact(g)
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
             # local cycle repair leaves the relation a global pass would
             assert reference_full(g.nodes.values(), oracle) == g.full

@@ -222,6 +222,13 @@ class TestSnapshot:
         with pytest.raises(ConfigError, match="line 3"):
             load_snapshot(str(path))
 
+    def test_non_utf8_snapshot(self, tmp_path):
+        path = tmp_path / "latin1.snapshot"
+        path.write_bytes("#snapshot 1\n#node id=1 origin=candidate\np(jos\xe9).\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8") as err:
+            load_snapshot(str(path))
+        assert str(path) in str(err.value)
+
 
 class TestGrid:
     def test_one_by_one(self, tmp_path):
@@ -275,6 +282,24 @@ class TestCli:
 
     def test_parse_missing_file(self, capsys):
         assert cli_main(["parse", "/nonexistent.kbr"]) == 1
+
+    def test_parse_directory_exits_1(self, tmp_path, capsys):
+        assert cli_main(["parse", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_out_is_a_file_exits_1(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        grid = tmp_path / "one.grid"
+        grid.write_text(f"scenario = {FAMILY_SCN}\ncapacities = 5\nfractions = 0.5\nrepetitions = 1\n")
+        source = FAMILY_SCN if command == "run" else str(grid)
+        assert cli_main([command, source, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {taken}")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "" and sorted(os.listdir(tmp_path)) == ["one.grid", "taken"]
 
     def test_parse_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.kbr"
