@@ -18,6 +18,7 @@ descendants, kept as intrinsic node mass.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Set
 
 from .deduce import CoverageOracle
@@ -63,9 +64,9 @@ def transitive_reduce(
 def _topo_order(ids: Iterable[int], edges: Mapping[int, Set[int]]) -> List[int]:
     """Kahn's walk, parents before children; GraphError on a cycle.
 
-    Any topological order serves: the reduction, support and best-coverer
-    passes read each node only after all its parents (or children), and
-    their per-node sums run over edge sets, not over this order.
+    Any topological order serves: the reduction and support passes read
+    each node only after all its children, and their per-node sums run
+    over edge sets, not over this order.
     """
     indeg = dict.fromkeys(ids, 0)
     for u in indeg:
@@ -82,16 +83,22 @@ def _topo_order(ids: Iterable[int], edges: Mapping[int, Set[int]]) -> List[int]:
     return order
 
 
-def _reachable(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> Set[int]:
-    """`starts` and every node reachable from them over `edges`."""
-    seen = set(starts)
-    stack = list(seen)
+def _cone_order(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> List[int]:
+    """`starts` and all they reach over `edges`, each node before every node
+    it reaches: the reverse postorder of one depth-first search.  Over a
+    cyclic relation the nodes are still exactly the reachable ones."""
+    seen: Set[int] = set()
+    post, stack = [], [(v, False) for v in starts]
     while stack:
-        for w in edges[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+        v, done = stack.pop()
+        if done:
+            post.append(v)
+        elif v not in seen:
+            seen.add(v)
+            stack.append((v, True))
+            stack.extend((w, False) for w in edges[v] if w not in seen)
+    post.reverse()
+    return post
 
 
 class CoverageGraph:
@@ -99,11 +106,12 @@ class CoverageGraph:
 
     `lengths` holds each node's description length, computed once when the
     node enters (`rule_length`, so `length_override` wins).  `desc` holds
-    each node's strict descendants over `full` as a bitmask.  `revision`
-    counts the mutations a metric can see: `insert_rule`, `remove_rule` and
-    `set_residual` each bump it, `replace_rule` does not, since protection
-    flags enter no metric.  Callers cache derived tables against the
-    revision, so every mutation must go through these methods.
+    each node's strict descendants over `full` as a bitmask.  `touched`
+    holds, until the metrics owner takes it, each node whose support inputs
+    (reduced children, their parent counts, residuals) changed, and each
+    removed node.  `insert_rule`, `remove_rule` and `set_residual` add to
+    it, `replace_rule` does not, since protection flags enter no metric.
+    Callers rescore from it, so every mutation must go through these methods.
     """
 
     def __init__(self):
@@ -114,7 +122,7 @@ class CoverageGraph:
         self.parents: Dict[int, Set[int]] = {}
         self.desc: Dict[int, int] = {}
         self.residuals: Dict[int, Dict[str, float]] = {}
-        self.revision = 0
+        self.touched: Set[int] = set()
 
     # -- accessors ----------------------------------------------------------
 
@@ -140,10 +148,10 @@ class CoverageGraph:
         return self.residuals[nid].get(label, 0.0)
 
     def set_residual(self, nid: int, label: str, value: float) -> None:
-        if value < 0:
-            raise GraphError("residuals must stay non-negative")
+        if not (math.isfinite(value) and value >= 0):
+            raise GraphError("residuals must be finite and non-negative")
         self.residuals[nid][label] = value
-        self.revision += 1
+        self.touched.add(nid)
 
     def node_length(self, nid: int) -> float:
         return self.lengths[nid]
@@ -174,7 +182,7 @@ class CoverageGraph:
         # The graph was acyclic, so the only cycle an insert can close runs
         # through the new node, among its ancestors: repair drops edges only
         # inside this cone, taken before it.
-        cone = _reachable(pairs_in | {rule.id}, self.parents)
+        cone = set(_cone_order(pairs_in | {rule.id}, self.parents))
         self._repair_cycle(rule.id)
         self._refresh(cone)
 
@@ -210,10 +218,11 @@ class CoverageGraph:
                 bucket = self.residuals[parent]
                 for label, value in amounts.items():
                     bucket[label] = bucket.get(label, 0.0) + value * share
-        cone = _reachable((nid,), self.parents)
+        cone = set(_cone_order((nid,), self.parents))
         cone.discard(nid)  # the strict ancestors: the only nodes that reached nid
         for u in cone:
             self.full[u].discard(nid)
+        self.touched |= self.parents[nid] | self.reduced[nid] | {nid}
         for p in self.parents.pop(nid):
             self.reduced[p].discard(nid)
         for c in self.reduced.pop(nid):
@@ -231,6 +240,7 @@ class CoverageGraph:
         self.reduced[rule.id] = set()
         self.parents[rule.id] = set()
         self.residuals[rule.id] = {}
+        self.touched.add(rule.id)
 
     def _refresh(self, cone: Set[int]) -> None:
         """Recompute `desc`, `reduced` and `parents` over `cone`, leaves first.
@@ -238,7 +248,9 @@ class CoverageGraph:
         `cone` must hold every node whose `full` edges changed, with all
         its ancestors; no other node's descendants can have changed.  A
         child c of u is kept in the reduction exactly when no other child
-        of u reaches it.  GraphError if the cone has a cycle.
+        of u reaches it.  A `reduced` set is replaced only when it changes, so
+        an untouched node keeps the set order its support was summed in.
+        GraphError if the cone has a cycle.
         """
         full, desc, reduced, parents = self.full, self.desc, self.reduced, self.parents
         order = _topo_order(cone, {u: full[u] & cone for u in cone})
@@ -253,12 +265,14 @@ class CoverageGraph:
                 mask |= 1 << c
             desc[u] = mask
             old = reduced[u]
+            if kept == old:
+                continue
             for c in old - kept:
                 parents[c].discard(u)
             for c in kept - old:
                 parents[c].add(u)
+            self.touched.update(old ^ kept, (u,))
             reduced[u] = kept
-        self.revision += 1
 
     def _repair_cycle(self, v: int) -> None:
         """Break the mutual-coverage cycles through `v` deterministically.
@@ -269,14 +283,14 @@ class CoverageGraph:
         (length, id) and only forward edges of that order survive, so the
         shortest rule plays the generalisation role.
         """
-        below = _reachable((v,), self.full)
+        below = _cone_order((v,), self.full)
         if not any(v in self.full[u] for u in below):
             return  # nothing below v leads back to it
         preds: Dict[int, List[int]] = {u: [] for u in below}
         for u in below:
             for w in self.full[u]:
                 preds[w].append(u)
-        cycle = _reachable((v,), preds)
+        cycle = _cone_order((v,), preds)
         rank = {
             nid: pos
             for pos, nid in enumerate(sorted(cycle, key=lambda n: (self.lengths[n], n)))

@@ -692,6 +692,13 @@ class Snapshot:
     residuals: Dict[int, Dict[str, float]]
 
 
+def _amount(text: str, what: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0")
+    return value
+
+
 def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
     """Rule fields and residuals of a `#node` line; ValueError if malformed."""
     fields: Dict[str, str] = {}
@@ -709,13 +716,13 @@ def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
         label, colon, value = part.partition(":")
         if not colon:
             raise ValueError(f"residual {part!r} is not class:value")
-        residuals[label] = float(value)
+        residuals[label] = _amount(value, "residual")
     return dict(
         id=int(fields["id"]),
         origin=fields["origin"],
         protected=fields.get("protected") == "1",
         class_label=fields.get("class"),
-        length_override=float(fields["length"]) if "length" in fields else None,
+        length_override=_amount(fields["length"], "length") if "length" in fields else None,
     ), residuals
 
 
@@ -735,7 +742,12 @@ def load_snapshot(path: str) -> Snapshot:
             continue
         if line.startswith("#node"):
             try:
-                pending = _node_header(line)
+                fields, res = pending = _node_header(line)
+                unknown = {fields["class_label"], *res} - {None, *classes}
+                if unknown:
+                    raise ValueError(f"classes {sorted(unknown)} are not in #classes")
+                if fields["id"] in residuals:
+                    raise ValueError(f"id {fields['id']} repeats")
             except ValueError as exc:
                 raise ConfigError(f"line {line_no}: bad #node header: {exc}") from None
             continue
@@ -760,6 +772,8 @@ def restore_state(snapshot: Snapshot, cfg: ScenarioConfig) -> KnowledgeState:
     edges themselves are recomputed, not replayed.
     """
     state = build_state(cfg)
+    if snapshot.classes != state.classes:
+        raise ConfigError(f"snapshot classes {snapshot.classes} are not {state.classes}")
     protected = [r for r in snapshot.rules if r.protected]
     rest = [r for r in snapshot.rules if not r.protected]
     id_map: Dict[int, int] = {}

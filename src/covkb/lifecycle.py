@@ -113,7 +113,7 @@ class KnowledgeState:
         self.oracle = CoverageOracle(Background(seed), self.coverage, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None
-        self._metrics_key: Optional[Tuple[int, float]] = None
+        self._metrics_beta: Optional[float] = None
         self.step_count = 0
         self._warnings: List[str] = []
 
@@ -141,13 +141,16 @@ class KnowledgeState:
     def ensure_metrics(self) -> MetricsTable:
         """The metrics of the current graph and policy.
 
-        The cached table is reused while `graph.revision` and the policy's
-        beta equal those it was computed at.
+        After mutations only the rows they can change are rescored, after a
+        beta change every row; otherwise the cached table is returned.
         """
-        key = (self.graph.revision, self.policy.beta)
-        if self._metrics_key != key:
-            self.metrics = compute_table(self.graph, self.policy.beta, self.classes)
-            self._metrics_key = key
+        beta = self.policy.beta
+        touched, self.graph.touched = self.graph.touched, set()
+        if self._metrics_beta != beta:
+            self.metrics = compute_table(self.graph, beta, self.classes)
+            self._metrics_beta = beta
+        elif touched:
+            self.metrics = compute_table(self.graph, beta, self.classes, self.metrics, touched)
         return self.metrics
 
     def population(self) -> int:

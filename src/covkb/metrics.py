@@ -10,10 +10,10 @@ transitive coverer and is the forgetting priority (lowest goes first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from .covgraph import CoverageGraph
+from .covgraph import CoverageGraph, _cone_order
 
 NEG_INF = float("-inf")
 
@@ -26,8 +26,24 @@ class MetricsTable:
     opt: Dict[int, ClassVector]
     opt_generic: Dict[int, float]
     argmax_class: Dict[int, str]
+    best_cov: Dict[int, ClassVector]
     perm: Dict[int, ClassVector]
     perm_generic: Dict[int, float]
+
+
+def _support_row(graph: CoverageGraph, nid: int, classes, support) -> ClassVector:
+    """One node's support, from its children's rows in `support`."""
+    row = {c: graph.residual(nid, c) for c in classes}
+    if not graph.suc(nid):
+        label = graph.nodes[nid].class_label
+        if label is not None:
+            row[label] += graph.lengths[nid]
+    for child in graph.suc(nid):
+        share = 1.0 / len(graph.anc(child))
+        child_row = support[child]
+        for c in classes:
+            row[c] += child_row[c] * share
+    return row
 
 
 def compute_support(
@@ -37,23 +53,11 @@ def compute_support(
 ) -> Dict[int, ClassVector]:
     """Per-node, per-class conservative support, leaves first (over `order`,
     the graph's topological order, when the caller already has it)."""
-    lengths = graph.lengths
     if order is None:
         order = graph.topological_order()
     support: Dict[int, ClassVector] = {}
     for nid in reversed(order):
-        rule = graph.nodes[nid]
-        row = {c: graph.residual(nid, c) for c in classes}
-        if not graph.suc(nid):
-            if rule.class_label is not None:
-                row[rule.class_label] += lengths[nid]
-        else:
-            for child in graph.suc(nid):
-                share = 1.0 / len(graph.anc(child))
-                child_row = support[child]
-                for c in classes:
-                    row[c] += child_row[c] * share
-        support[nid] = row
+        support[nid] = _support_row(graph, nid, classes, support)
     return support
 
 
@@ -109,47 +113,59 @@ def compute_table(
     graph: CoverageGraph,
     beta: float,
     classes: Sequence[str],
+    previous: Optional[MetricsTable] = None,
+    touched: Iterable[int] = (),
 ) -> MetricsTable:
-    lengths = graph.lengths
-    order = graph.topological_order()
-    support = compute_support(graph, classes, order)
-    opt: Dict[int, ClassVector] = {}
-    opt_generic: Dict[int, float] = {}
-    argmax: Dict[int, str] = {}
-    for nid, row in support.items():
-        length = lengths[nid]
-        opt[nid], opt_generic[nid], argmax[nid] = optimality_row(
-            length, row, beta, classes
-        )
+    """The metrics of `graph`, rescoring only the rows `touched` can change.
 
-    # Best coverer optimality per class, propagated root-down over the
-    # reduced edges; reachability there equals the full relation's closure.
-    best_cov: Dict[int, ClassVector] = {
-        nid: {c: NEG_INF for c in classes} for nid in graph.nodes
-    }
-    for nid in order:
-        for child in graph.suc(nid):
-            target = best_cov[child]
-            mine = best_cov[nid]
-            node_opt = opt[nid]
+    `previous` is the table at this beta before the mutations recorded in
+    `touched` (`CoverageGraph.touched`); without it every node is a seed.
+    New dicts and rows are filled, so `previous` never changes.
+    """
+    if previous is None:
+        previous = MetricsTable({}, {}, {}, {}, {}, {}, {})
+        touched = graph.nodes
+    tables = [dict(getattr(previous, f.name)) for f in fields(MetricsTable)]
+    support, opt, opt_generic, argmax, best_cov, perm, perm_generic = tables
+    seeds = {nid for nid in touched if nid in graph.nodes}
+    for nid in set(touched) - seeds:  # removed nodes
+        for table in tables:
+            table.pop(nid, None)
+
+    # Leaves first over the ancestor cone: support reads the children's
+    # rows and parent counts, and a seed's parent count may have changed.
+    # A seed may also be a new node under a removed node's id.
+    lengths, parents = graph.lengths, graph.parents
+    opt_changed: Set[int] = set()
+    for nid in _cone_order(seeds, parents):
+        row = _support_row(graph, nid, classes, support)
+        if row != support.get(nid) or nid in seeds:
+            support[nid], old = row, opt.get(nid)
+            opt[nid], opt_generic[nid], argmax[nid] = optimality_row(
+                lengths[nid], row, beta, classes
+            )
+            if opt[nid] != old:
+                opt_changed.add(nid)
+
+    # Parents first below: best coverer optimality per class over the
+    # reduced edges, whose reachability equals the full relation's closure.
+    dirty = seeds | opt_changed
+    for nid in _cone_order(dirty, graph.reduced):
+        if nid not in dirty:
+            continue
+        best = {c: NEG_INF for c in classes}
+        for parent in parents[nid]:
+            parent_opt, parent_best = opt[parent], best_cov[parent]
             for c in classes:
-                cand = node_opt[c] if node_opt[c] > mine[c] else mine[c]
-                if cand > target[c]:
-                    target[c] = cand
-
-    perm: Dict[int, ClassVector] = {}
-    perm_generic: Dict[int, float] = {}
-    for nid in graph.nodes:
-        opt_row, best_row = opt[nid], best_cov[nid]
-        row = {c: permanence_value(opt_row[c], best_row[c]) for c in classes}
-        perm[nid] = row
+                cand = parent_opt[c] if parent_opt[c] > parent_best[c] else parent_best[c]
+                if cand > best[c]:
+                    best[c] = cand
+        if best == best_cov.get(nid) and nid not in opt_changed:
+            continue
+        best_cov[nid] = best
+        dirty.update(graph.reduced[nid])
+        opt_row = opt[nid]
+        perm[nid] = row = {c: permanence_value(opt_row[c], best[c]) for c in classes}
         perm_generic[nid] = max(row.values())
 
-    return MetricsTable(
-        support=support,
-        opt=opt,
-        opt_generic=opt_generic,
-        argmax_class=argmax,
-        perm=perm,
-        perm_generic=perm_generic,
-    )
+    return MetricsTable(*tables)

@@ -1,9 +1,10 @@
+import copy
 import random
 from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covkb.covgraph import (
@@ -258,8 +259,9 @@ class TestRemoveRule:
 
     def test_residuals_never_negative(self):
         g = self.diamond()
-        with pytest.raises(GraphError):
-            g.set_residual(1, "+", -0.5)
+        for bad in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(GraphError):
+                g.set_residual(1, "+", bad)
 
 
 class TestRandomGraphInvariants:
@@ -318,11 +320,12 @@ POOL_BG = parse_program("q(a). q(b). r(a). r(c).")
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "remove", "residual", "protect"]),
+        st.sampled_from(["insert", "remove", "residual", "protect", "score", "beta"]),
         st.integers(0, 1000),
         st.floats(0.0, 10.0),
     ),
-    max_size=25,
+    min_size=10,
+    max_size=40,
 )
 
 
@@ -365,18 +368,33 @@ class TestLocalUpkeep:
 
 
 class TestMutationInvariants:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(OPS)
+    # removing a root leaves its child with no parent and nothing else touched
+    @example([("insert", 0, 0.0), ("insert", 0, 0.0), ("score", 0, 0.0), ("remove", 0, 0.0)])
+    # a longer rule under a removed rule's id, with the same (empty) support
+    @example([("insert", 0, 0.0), ("score", 0, 0.0), ("remove", 0, 0.0), ("insert", 1, 0.0)])
     def test_random_mutations_keep_derived_state_exact(self, ops):
+        # The drawn ops decide when to score, so mutations pile up between
+        # metric passes and each pass rescores their joint cones.
         state = KnowledgeState(POOL_BG, ("+", "-"))
         g, oracle = state.graph, state.oracle
-        next_id = 1000
-        for kind, pick, value in ops:
+        held = state.ensure_metrics()
+        held_copy = copy.deepcopy(held)
+        for kind, pick, value in ops + [("score", 0, 0.0)]:
             live = sorted(g.nodes)
             if kind == "insert":
                 rule = POOL[pick % len(POOL)]
-                g.insert_rule(replace(rule, id=next_id), oracle)
-                next_id += 1
+                # the lowest free id past B0's, so removed ids come back
+                nid = min(set(range(1000, 1001 + len(live))) - set(live))
+                g.insert_rule(replace(rule, id=nid), oracle)
+            elif kind == "beta":
+                state.policy = replace(state.policy, beta=value / 10.0)
+            elif kind == "score":
+                table = state.ensure_metrics()
+                assert table == compute_table(g, state.policy.beta, state.classes)
+                assert held == held_copy  # a table handed out never changes
+                held, held_copy = table, copy.deepcopy(table)
             elif not live:
                 continue
             elif kind == "remove":
@@ -385,9 +403,9 @@ class TestMutationInvariants:
                 g.set_residual(live[pick % len(live)], ("+", "-")[pick % 2], value)
             else:
                 rule = g.nodes[live[pick % len(live)]]
-                revision = g.revision
+                touched = set(g.touched)
                 g.replace_rule(rule.with_protection(not rule.protected))
-                assert g.revision == revision
+                assert g.touched == touched
 
             ids = sorted(g.nodes)
             assert sorted(_topo_order(ids, g.full)) == ids  # GraphError on a cycle
@@ -395,7 +413,6 @@ class TestMutationInvariants:
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
             # local cycle repair leaves the relation a global pass would
             assert reference_full(g.nodes.values(), oracle) == g.full
-            assert state.ensure_metrics() == compute_table(g, state.policy.beta, state.classes)
 
     def test_replace_rule_only_flips_protection(self):
         g = graph_from_structure({1: (None, 2.0)}, [])

@@ -214,13 +214,29 @@ class TestSnapshot:
             "#node id=1 origin=candidate res=+:lots",
             "#node id=1 origin=alien",
             "#node id=1 origin=candidate length=long",
+            "#node id=1 origin=candidate length=nan",
+            "#node id=1 origin=candidate length=-3",
+            "#node id=1 origin=candidate res=+:-1.0",
+            "#node id=1 origin=candidate res=+:nan",
+            "#node id=1 origin=candidate res=+:inf",
+            "#node id=1 origin=candidate res=zz:1.0",
+            "#node id=1 origin=candidate class=zz",
+            "#node id=1 origin=candidate\np(b).\n#node id=1 origin=candidate",
         ],
     )
     def test_malformed_node_header(self, tmp_path, header):
         path = tmp_path / "bad.snapshot"
         path.write_text(f"#snapshot 1\n#classes + -\n{header}\np(a).\n")
-        with pytest.raises(ConfigError, match="line 3"):
+        # the last #node line of `header` is the bad one
+        with pytest.raises(ConfigError, match=f"line {3 + header.count(chr(10))}:"):
             load_snapshot(str(path))
+
+    def test_restore_rejects_other_classes(self, tmp_path):
+        cfg = load_scenario(CHESS_SCN)
+        path = tmp_path / "state.snapshot"
+        path.write_text("#snapshot 1\n#classes + - x\n")
+        with pytest.raises(ConfigError, match="classes"):
+            restore_state(load_snapshot(str(path)), cfg)
 
     def test_non_utf8_snapshot(self, tmp_path):
         path = tmp_path / "latin1.snapshot"
