@@ -91,8 +91,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", action="append", default=[],
                     help="LABEL=DIR, a checkout to measure (repeatable)")
-    ap.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                    help="comma-separated pool sizes, from %(default)s")
     ap.add_argument("--out", help="JSON file to write")
     ap.add_argument("--worker", nargs=2, metavar=("ROOT", "SIZE"), help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -104,13 +102,9 @@ def main() -> None:
 
     if not args.checkout or not args.out:
         ap.error("--checkout and --out are required")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    unknown = sorted(set(sizes) - set(SIZES))
-    if unknown:
-        ap.error(f"unknown sizes {unknown}; choose from {sorted(SIZES)}")
     checkouts = dict(c.split("=", 1) for c in args.checkout)
     results = {label: {} for label in checkouts}
-    for size in sizes:
+    for size in SIZES:
         for label, root in checkouts.items():
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__),
@@ -122,16 +116,16 @@ def main() -> None:
                   f"{row['final_nodes']} nodes", flush=True)
     report = {
         "command": "python3 scripts/scale_curve.py " + " ".join(
-            f"--checkout {label}=DIR" for label in checkouts) + f" --sizes {args.sizes}",
+            f"--checkout {label}=DIR" for label in checkouts),
         "settings": {"pool_seed": POOL_SEED, "run_seed": RUN_SEED, "arrival_p": 1.0,
                      "sizes": {str(s): {"capacity": SIZES[s][0], "steps": SIZES[s][1]}
-                               for s in sizes}},
+                               for s in SIZES}},
         "machine": f"{os.cpu_count()} CPUs, {platform.python_implementation()} "
                    f"{platform.python_version()}",
         "results": results,
         "hashes_match": {
             str(s): len({json.dumps(results[c][str(s)]["sha256"]) for c in checkouts}) == 1
-            for s in sizes
+            for s in SIZES
         },
     }
     with open(args.out, "w", encoding="utf-8") as fh:

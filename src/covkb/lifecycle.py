@@ -144,13 +144,12 @@ class KnowledgeState:
         After mutations only the rows they can change are rescored, after a
         beta change every row; otherwise the cached table is returned.
         """
-        beta = self.policy.beta
-        touched, self.graph.touched = self.graph.touched, set()
-        if self._metrics_beta != beta:
-            self.metrics = compute_table(self.graph, beta, self.classes)
+        beta, graph = self.policy.beta, self.graph
+        previous = self.metrics if self._metrics_beta == beta else None
+        if previous is None or graph.touched:
+            self.metrics = compute_table(graph, beta, self.classes, previous, graph.touched)
+            graph.touched = set()
             self._metrics_beta = beta
-        elif touched:
-            self.metrics = compute_table(self.graph, beta, self.classes, self.metrics, touched)
         return self.metrics
 
     def population(self) -> int:

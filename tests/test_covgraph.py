@@ -374,6 +374,8 @@ class TestMutationInvariants:
     @example([("insert", 0, 0.0), ("insert", 0, 0.0), ("score", 0, 0.0), ("remove", 0, 0.0)])
     # a longer rule under a removed rule's id, with the same (empty) support
     @example([("insert", 0, 0.0), ("score", 0, 0.0), ("remove", 0, 0.0), ("insert", 1, 0.0)])
+    # a second coverer of p(a) halves the share the first one receives
+    @example([("insert", 8, 0.0), ("insert", 7, 0.0), ("score", 0, 0.0), ("insert", 0, 0.0)])
     def test_random_mutations_keep_derived_state_exact(self, ops):
         # The drawn ops decide when to score, so mutations pile up between
         # metric passes and each pass rescores their joint cones.
