@@ -9,7 +9,7 @@ and records:
 - wall time per step of the plain run
 - the final node count and the `full` and `reduced` edge counts
 - cumulative cProfile seconds in `compute_table`, `insert_rule` and
-  `covers_pair`
+  `covers_pair`, and the number of `covers_pair` calls
 - the sha256 of `steps.csv` and `state.snapshot`, which must agree
   between checkouts at each size
 
@@ -65,9 +65,12 @@ def measure(root: str, size: int, work: str) -> dict:
     harness.run_scenario(cfg, out_dir=os.path.join(work, "profiled"), seed=RUN_SEED)
     profile.disable()
     cumulative = {name: 0.0 for name in PROFILED}
-    for (_, _, func), (_, _, _, cum, _) in pstats.Stats(profile).stats.items():
+    pair_calls = 0
+    for (_, _, func), (_, ncalls, _, cum, _) in pstats.Stats(profile).stats.items():
         if func in cumulative:
             cumulative[func] += cum
+        if func == "covers_pair":
+            pair_calls += ncalls
 
     hashes = {}
     for name in ("steps.csv", "state.snapshot"):
@@ -83,6 +86,7 @@ def measure(root: str, size: int, work: str) -> dict:
         "full_edges": sum(len(e) for e in graph.full.values()),
         "reduced_edges": sum(len(e) for e in graph.reduced.values()),
         "cprofile_cumulative_s": cumulative,
+        "covers_pair_calls": pair_calls,
         "sha256": hashes,
     }
 

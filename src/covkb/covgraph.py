@@ -14,12 +14,19 @@ relation is not transitive, as coverage under derivation limits need not be.
 
 Each node carries a per-class residual: support inherited from forgotten
 descendants, kept as intrinsic node mass.
+
+An insert asks the oracle only about pairs whose heads can match.  The
+oracle gives each rule its head forms: its own key first, then every key a
+general must have to cover it.  The graph indexes every node under each of
+its forms and every non-evidence node under its own key, so a node's
+candidate coverees and coverers are dict lookups; other pairs are never
+asked.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from .deduce import CoverageOracle
 from .rules import EVIDENCE, Rule, rule_length
@@ -105,7 +112,8 @@ class CoverageGraph:
     """Mutable coverage DAG owned by a single knowledge-base instance.
 
     `lengths` holds each node's description length, computed once when the
-    node enters (`rule_length`, so `length_override` wins).  `desc` holds
+    node enters (`rule_length`, so `length_override` wins), and `forms` its
+    head forms (`CoverageOracle.head_forms`), likewise.  `desc` holds
     each node's strict descendants over `full` as a bitmask.  `touched`
     holds, until the metrics owner takes it, each node whose support inputs
     (reduced children, their parent counts, residuals) changed, and each
@@ -123,6 +131,12 @@ class CoverageGraph:
         self.desc: Dict[int, int] = {}
         self.residuals: Dict[int, Dict[str, float]] = {}
         self.touched: Set[int] = set()
+        self.forms: Dict[int, Tuple[Hashable, ...]] = {}
+        # key -> {node id: insertion number}: non-evidence nodes under their
+        # own key, every node under each of its forms.
+        self._by_head: Dict[Hashable, Dict[int, int]] = {}
+        self._by_form: Dict[Hashable, Dict[int, int]] = {}
+        self._inserted = 0
 
     # -- accessors ----------------------------------------------------------
 
@@ -165,18 +179,21 @@ class CoverageGraph:
     def insert_rule(self, rule: Rule, oracle: CoverageOracle) -> None:
         if rule.id in self.nodes:
             raise GraphError(f"node id {rule.id} already present")
+        forms = oracle.head_forms(rule)
+        nodes = self.nodes
         pairs_out: Set[int] = set()
-        pairs_in: Set[int] = set()
         if rule.origin != EVIDENCE:
-            for other in self.nodes.values():
-                if oracle.covers_pair(rule, other):
-                    pairs_out.add(other.id)
-        for other in self.nodes.values():
-            if other.origin == EVIDENCE:
-                continue
-            if oracle.covers_pair(other, rule):
-                pairs_in.add(other.id)
-        self._add_node(rule, pairs_out)
+            for other in self._by_form.get(forms[0], ()):
+                if oracle.covers_pair(rule, nodes[other]):
+                    pairs_out.add(other)
+        coverers: Dict[int, int] = {}
+        for key in forms:
+            coverers.update(self._by_head.get(key, ()))
+        pairs_in = {
+            other for other in sorted(coverers, key=coverers.__getitem__)  # node order
+            if oracle.covers_pair(nodes[other], rule)
+        }
+        self._add_node(rule, pairs_out, forms)
         for other_id in pairs_in:
             self.full[other_id].add(rule.id)
         # The graph was acyclic, so the only cycle an insert can close runs
@@ -227,15 +244,29 @@ class CoverageGraph:
             self.reduced[p].discard(nid)
         for c in self.reduced.pop(nid):
             self.parents[c].discard(nid)
-        for table in (self.nodes, self.lengths, self.residuals, self.full, self.desc):
+        forms = self.forms[nid]
+        heads = forms[:1] if rule.origin != EVIDENCE else ()
+        for index, keys in ((self._by_head, heads), (self._by_form, forms)):
+            for key in keys:
+                bucket = index[key]
+                del bucket[nid]
+                if not bucket:
+                    del index[key]
+        for table in (self.nodes, self.lengths, self.forms, self.residuals, self.full, self.desc):
             del table[nid]
         self._refresh(cone)
 
     # -- internals -----------------------------------------------------------
 
-    def _add_node(self, rule: Rule, covered: Set[int]) -> None:
+    def _add_node(self, rule: Rule, covered: Set[int], forms: Tuple[Hashable, ...]) -> None:
         self.nodes[rule.id] = rule
         self.lengths[rule.id] = rule_length(rule)
+        self.forms[rule.id] = forms
+        seq, self._inserted = self._inserted, self._inserted + 1
+        if rule.origin != EVIDENCE:
+            self._by_head.setdefault(forms[0], {})[rule.id] = seq
+        for key in forms:
+            self._by_form.setdefault(key, {})[rule.id] = seq
         self.full[rule.id] = covered
         self.reduced[rule.id] = set()
         self.parents[rule.id] = set()

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .rules import (
     EVIDENCE,
@@ -43,6 +45,7 @@ DERIVATION = "derivation"
 
 SKOLEM_PREFIX = "$sk"  # rejected by the parser's lexer, so user input cannot forge it
 _FRESH_PREFIX = "$F"   # internal variable namespace for renaming facts apart
+KEY_POSITIONS = 4      # head arguments a head key reads; later ones match anything
 
 
 class LimitExceeded(Exception):
@@ -200,6 +203,28 @@ def match_atom(pattern: Atom, target: Atom, subst: Dict[str, Term]) -> Optional[
         if subst is None:
             return None
     return subst
+
+
+def head_forms(atom: Atom) -> Tuple[Tuple, ...]:
+    """The head key of `atom`, then every coarser key.
+
+    A key is the predicate and arity plus, for each of the first
+    KEY_POSITIONS arguments, its top-level (functor, arity), or None for a
+    variable.  `match_atom(general, atom, {})` can succeed only when the
+    general's key is one of these: the general's key equals `atom`'s with
+    some positions set to None.  A variable of `atom` is rigid, so only a
+    general's variable takes it.  At most 2**KEY_POSITIONS forms.
+    """
+    shapes = [
+        (None,) if isinstance(a, Var) else ((a.functor, len(a.args)), None)
+        for a in atom.args[:KEY_POSITIONS]
+    ]
+    return tuple((atom.pred, atom.arity, *s) for s in itertools.product(*shapes))
+
+
+def heads_may_match(general: Atom, specific: Atom) -> bool:
+    """False only when `match_atom(general, specific, {})` fails."""
+    return head_forms(general)[0] in head_forms(specific)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +464,8 @@ def covers(
     """Does `general` cover `specific` modulo the background?
 
     In derivation mode a LimitExceeded verdict is reported as "not covered"
-    through `on_warning`.
+    through `on_warning`.  Every mode starts by matching general's head onto
+    specific's, so heads that cannot match give False before any derivation.
     """
     if general.id == specific.id:
         raise ValueError("coverage is only defined between distinct rules")
@@ -447,6 +473,8 @@ def covers(
         return theta_subsumes(general, specific)
     if mode != DERIVATION:
         raise ValueError(f"unknown coverage mode {mode!r}")
+    if not heads_may_match(general.head, specific.head):
+        return False
     goal, body_facts = skolemize(specific)
     try:
         store = forward_closure(bg, body_facts, limits)
@@ -492,6 +520,10 @@ class CoverageOracle:
     fire against one saturated store that `set_background` grows in place;
     `extend_closure` restarts its round budget, so that store depends on the
     order of changes and its verdicts are per oracle, dropped on each change.
+
+    `head_forms` gives a rule's head key and the keys of every general that
+    may cover it; a pair whose keys do not match is not covered.  Such a
+    pair derives nothing here, so skipping it changes no later verdict.
     """
 
     def __init__(
@@ -545,6 +577,9 @@ class CoverageOracle:
         text = self.keys.get(rule.id)
         return canonical_form(rule) if text is None else text
 
+    def head_forms(self, rule: Rule) -> Tuple[Hashable, ...]:
+        return head_forms(rule.head)
+
     def _saturated_store(self) -> Optional[FactStore]:
         if self._saturated is None and not self._saturated_failed:
             try:
@@ -590,8 +625,10 @@ class CoverageOracle:
                 # Shared closures: nothing specific-side to assert.
                 if rows is self._facts_rows:
                     store = self._raw_store
-                else:
+                elif heads_may_match(general.head, specific.head):
                     store = self._saturated_store()
+                else:
+                    store = None  # the head cannot match: saturate nothing
                 goal, _ = skolemize(specific)
                 hit = store is not None and general_fires(general, goal, store)
             row[key] = hit

@@ -734,6 +734,7 @@ def load_snapshot(path: str) -> Snapshot:
     rules: List[Rule] = []
     residuals: Dict[int, Dict[str, float]] = {}
     pending: Optional[Tuple[Dict[str, object], Dict[str, float]]] = None
+    pending_line = 0
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -741,6 +742,12 @@ def load_snapshot(path: str) -> Snapshot:
             classes = tuple(line.split()[1:])
             continue
         if line.startswith("#node"):
+            if pending is not None:
+                raise ConfigError(
+                    f"line {line_no}: #node header follows the one on line "
+                    f"{pending_line}, which has no clause"
+                )
+            pending_line = line_no
             try:
                 fields, res = pending = _node_header(line)
                 unknown = {fields["class_label"], *res} - {None, *classes}
@@ -752,15 +759,17 @@ def load_snapshot(path: str) -> Snapshot:
                 raise ConfigError(f"line {line_no}: bad #node header: {exc}") from None
             continue
         if pending is None:
-            raise ConfigError(f"clause without #node header: {line!r}")
+            raise ConfigError(f"line {line_no}: clause without #node header: {line!r}")
         parsed = parse_program(line)
         if len(parsed) != 1:
-            raise ConfigError(f"expected one clause, got {len(parsed)}")
+            raise ConfigError(f"line {line_no}: expected one clause, got {len(parsed)}")
         fields, res = pending
         rule = replace(parsed[0], **fields)
         rules.append(rule)
         residuals[rule.id] = res
         pending = None
+    if pending is not None:
+        raise ConfigError(f"line {pending_line}: #node header has no clause before the end")
     return Snapshot(classes=classes, rules=rules, residuals=residuals)
 
 

@@ -18,6 +18,9 @@ class _EdgeListOracle:
     def covers_pair(self, general: Rule, specific: Rule) -> bool:
         return (general.id, specific.id) in self.edges
 
+    def head_forms(self, rule: Rule) -> Tuple[None]:
+        return (None,)  # one key for every rule: every pair is asked
+
 
 def graph_from_structure(
     specs: Mapping[int, Tuple[Optional[str], float]],

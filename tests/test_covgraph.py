@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from collections import deque
 from dataclasses import replace
@@ -17,14 +18,16 @@ from covkb.deduce import (
     DERIVATION,
     SUBSUMPTION,
     Background,
+    KEY_POSITIONS,
     CoverageConfig,
     CoverageOracle,
     covers,
+    match_atom,
 )
 from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
-from covkb.rules import EVIDENCE, Rule, rule_length
+from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, rule_length
 from oracles import _EdgeListOracle, graph_from_structure, node_rule, reference_full
 
 
@@ -302,7 +305,11 @@ def test_insert_isolated_evidence(family):
 
 # Theta-equivalent clauses (the first three; the two `r` orderings) make
 # insertion close mutual-coverage cycles; background facts let some
-# candidates fire on the labelled evidence.
+# candidates fire on the labelled evidence.  The later heads have other
+# shapes (compound arguments, a constant against a variable, another
+# predicate of one and of two arguments), so the head-key index skips
+# pairs.  The background clause derives q, so generals with q in the body
+# fire on evidence through the saturated store.
 POOL = parse_program(
     "#classes + -\n#candidates\n"
     "p(X) :- q(X).\n"
@@ -315,8 +322,33 @@ POOL = parse_program(
     "p(X) :- r(X).\n"
     "#evidence +\np(a).\np(b).\n"
     "#evidence -\np(c).\n"
+    "#candidates\n"
+    "p(f(X)) :- q(X).\n"
+    "p(f(a)) :- q(a).\n"
+    "p(g(X)) :- r(X).\n"
+    "p(f(X)).\n"
+    "u(X,Y) :- q(X), r(Y).\n"
+    "u(a,Y) :- q(a), r(Y).\n"
+    "t(X) :- q(X), s(X).\n"
+    "#evidence +\np(f(a)).\nu(a,c).\nt(d).\n"
+    "#evidence -\np(g(b)).\nu(b,b).\n"
 )
-POOL_BG = parse_program("q(a). q(b). r(a). r(c).")
+POOL_BG = parse_program("q(a). q(b). r(a). r(c). s(d). q(X) :- s(X).")
+
+
+def shapes_match(general, specific):
+    """Reference for the head-key rule: the general's head, each argument
+    cut to its top-level shape over fresh variables, matches the specific's
+    head, whose variables are rigid.  Pool heads have at most
+    KEY_POSITIONS arguments, so the key reads all of them."""
+    fresh = (Var(f"_{i}") for i in itertools.count())
+    top = Atom(general.pred, tuple(
+        next(fresh) if isinstance(a, Var)
+        else Compound(a.functor, tuple(next(fresh) for _ in a.args))
+        for a in general.args
+    ))
+    return match_atom(top, specific, {}) is not None
+
 
 OPS = st.lists(
     st.tuples(
@@ -377,10 +409,28 @@ class TestMutationInvariants:
     # a second coverer of p(a) halves the share the first one receives
     @example([("insert", 8, 0.0), ("insert", 7, 0.0), ("score", 0, 0.0), ("insert", 0, 0.0)])
     def test_random_mutations_keep_derived_state_exact(self, ops):
+        self.check(ops, CoverageConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(OPS)
+    def test_random_mutations_under_rule_rule_derivation(self, ops):
+        # Rule-rule pairs are decided by `covers`, which saturates per pair.
+        self.check(ops, CoverageConfig(rule_rule_mode=DERIVATION))
+
+    def check(self, ops, coverage):
         # The drawn ops decide when to score, so mutations pile up between
         # metric passes and each pass rescores their joint cones.
-        state = KnowledgeState(POOL_BG, ("+", "-"))
+        assert all(r.head.arity <= KEY_POSITIONS for r in POOL)
+        state = KnowledgeState(POOL_BG, ("+", "-"), coverage=coverage)
         g, oracle = state.graph, state.oracle
+        asked = []
+        covers_pair = oracle.covers_pair
+
+        def recorded(general, specific):
+            asked.append((general.id, specific.id))
+            return covers_pair(general, specific)
+
+        oracle.covers_pair = recorded
         held = state.ensure_metrics()
         held_copy = copy.deepcopy(held)
         for kind, pick, value in ops + [("score", 0, 0.0)]:
@@ -389,7 +439,18 @@ class TestMutationInvariants:
                 rule = POOL[pick % len(POOL)]
                 # the lowest free id past B0's, so removed ids come back
                 nid = min(set(range(1000, 1001 + len(live))) - set(live))
-                g.insert_rule(replace(rule, id=nid), oracle)
+                rule = replace(rule, id=nid)
+                before = list(g.nodes.values())
+                asked.clear()
+                g.insert_rule(rule, oracle)
+                # exactly the pairs whose heads may match, in node order
+                assert asked == [
+                    (rule.id, o.id) for o in before
+                    if rule.origin != EVIDENCE and shapes_match(rule.head, o.head)
+                ] + [
+                    (o.id, rule.id) for o in before
+                    if o.origin != EVIDENCE and shapes_match(o.head, rule.head)
+                ]
             elif kind == "beta":
                 state.policy = replace(state.policy, beta=value / 10.0)
             elif kind == "score":

@@ -177,6 +177,70 @@ class TestCovers:
         assert warnings
 
 
+class TestHeadPrefilter:
+    """A pair whose heads cannot match derives nothing and warns of nothing."""
+
+    BG = Background(
+        rules_of("edge(a,b). edge(b,c). edge(c,d). edge(d,e).")
+        + [one("reach(Y) :- reach(X), edge(X,Y).")]
+    )
+    SPECIFIC = with_id(one("goal(X) :- reach(a)."), 2)
+    # A constant cannot take the specific's rigid variable; a variable can.
+    MISS = with_id(one("goal(b) :- edge(a,b)."), 1)
+    HIT = with_id(one("goal(X) :- edge(a,X)."), 1)
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        real = deduce.forward_closure
+
+        def counted(bg, extra_facts=(), limits=DeriveLimits()):
+            calls.append(len(extra_facts))
+            return real(bg, extra_facts, limits)
+
+        monkeypatch.setattr(deduce, "forward_closure", counted)
+        return calls
+
+    def oracle(self):
+        cfg = CoverageConfig(rule_rule_mode=DERIVATION, limits=DeriveLimits(max_depth=1))
+        return CoverageOracle(self.BG, cfg)
+
+    def test_head_forms(self):
+        atom = one("p(f(X),Y,a) :- q(X).").head
+        assert deduce.head_forms(atom) == (
+            ("p", 3, ("f", 1), None, ("a", 0)),
+            ("p", 3, ("f", 1), None, None),
+            ("p", 3, None, None, ("a", 0)),
+            ("p", 3, None, None, None),
+        )
+        wide = one("p(a,b,c,d,e).").head
+        assert len(deduce.head_forms(wide)) == 2 ** deduce.KEY_POSITIONS
+
+    def test_incompatible_rule_pair_derives_nothing(self, closures):
+        oracle = self.oracle()
+        assert not oracle.covers_pair(self.MISS, self.SPECIFIC)
+        assert closures == [] and oracle.warnings == []
+        warnings = []
+        assert not covers(self.BG, self.MISS, self.SPECIFIC, DERIVATION,
+                          DeriveLimits(max_depth=1), on_warning=warnings.append)
+        assert closures == [] and warnings == []
+
+    def test_compatible_rule_pair_still_warns(self, closures):
+        oracle = self.oracle()
+        assert not oracle.covers_pair(self.HIT, self.SPECIFIC)
+        assert closures == [1] and len(oracle.warnings) == 1
+
+    def test_incompatible_evidence_pair_builds_no_saturated_store(self, closures):
+        bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        ev = with_id(parse_program("#classes + -\n#evidence +\nh(a).")[0], 50)
+        assert not oracle.covers_pair(with_id(one("h(b) :- q(b)."), 1), ev)
+        assert not oracle.covers_pair(with_id(one("g(X) :- q(X)."), 2), ev)
+        assert closures == []
+        assert oracle.covers_pair(with_id(one("h(X) :- q(X)."), 3), ev)
+        assert closures == [0]
+
+
 def random_rule(rng, rid):
     preds = ["p", "q", "r"]
     consts = ["a", "b"]

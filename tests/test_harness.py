@@ -171,6 +171,10 @@ class TestExports:
         assert len(lines) == 13  # header + 12 nodes
 
 
+# A snapshot that ends right after a #node header, with no clause for it.
+HEADER_AT_END = "#node id=1 origin=candidate\np(b).\n#node id=2 origin=candidate"
+
+
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         cfg = load_scenario(CHESS_SCN)
@@ -222,12 +226,17 @@ class TestSnapshot:
             "#node id=1 origin=candidate res=zz:1.0",
             "#node id=1 origin=candidate class=zz",
             "#node id=1 origin=candidate\np(b).\n#node id=1 origin=candidate",
+            "#node id=1 origin=evidence class=+\n#node id=2 origin=candidate",
+            "p(b).",
+            "#node id=1 origin=candidate\np(b). p(c).",
+            HEADER_AT_END,
         ],
     )
     def test_malformed_node_header(self, tmp_path, header):
         path = tmp_path / "bad.snapshot"
-        path.write_text(f"#snapshot 1\n#classes + -\n{header}\np(a).\n")
-        # the last #node line of `header` is the bad one
+        clause = "" if header == HEADER_AT_END else "p(a).\n"
+        path.write_text(f"#snapshot 1\n#classes + -\n{header}\n{clause}")
+        # the last line of `header` is the bad one
         with pytest.raises(ConfigError, match=f"line {3 + header.count(chr(10))}:"):
             load_snapshot(str(path))
 
