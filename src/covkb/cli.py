@@ -84,6 +84,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run_scenario(cfg, out_dir=args.out, seed=args.seed)
             return 0
         if args.command == "grid":
+            if args.jobs < 1:
+                raise ConfigError("--jobs must be >= 1")
             grid = load_grid(args.gridfile)
             make_out_dir(args.out)
             rows, failures = run_grid(grid, jobs=args.jobs)

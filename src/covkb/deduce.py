@@ -13,9 +13,14 @@ Two coverage semantics are provided.
   Requiring the general clause to fire keeps the relation meaningful when
   the background alone already entails the head.
 
-Forward chaining is semi-naive and tolerates non-range-restricted clauses
-by storing non-ground derived atoms (an unbound head variable stands for
-"any term").  All searches are bounded by `DeriveLimits`.
+Forward chaining tolerates non-range-restricted clauses by storing
+non-ground derived atoms (an unbound head variable stands for "any term").
+Facts are keyed by structure, never by their text: a ground fact by the
+atom itself, any other by its canonical renaming.  Each round joins every
+clause over the whole store and drops the joins that used no fact new in
+the last round; joining each body position against the new facts alone is
+ROADMAP item 3(a), and the one join that `_fire` and `general_fires` share
+is where it would go.  All searches are bounded by `DeriveLimits`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 from .rules import (
@@ -33,10 +39,9 @@ from .rules import (
     Rule,
     Term,
     Var,
-    _canonical_atom,
     canonical_form,
-    render_atom,
-    render_term,
+    canonical_var,
+    rename_atom,
     term_depth,
 )
 
@@ -259,96 +264,84 @@ def theta_subsumes(general: Rule, specific: Rule) -> bool:
 class FactStore:
     """Derived facts indexed by predicate and by ground argument positions.
 
-    Atoms may be non-ground; a fact with a variable in some position lands
-    in that position's wildcard bucket so indexed lookups stay complete.
+    A fact is keyed by structure: a ground one by the atom itself, any other
+    by its canonical renaming, so `add` refuses a variant of a stored fact.
+    A fact with a variable in some position lands in that position's
+    wildcard bucket (None) so indexed lookups stay complete; `open` holds
+    the ids of the facts with a variable, the only ones a join renames.
     """
 
     def __init__(self):
         self.by_pred: Dict[Tuple[str, int], List[Atom]] = {}
-        self._index: Dict[Tuple[str, int], List[Dict[Optional[str], List[Atom]]]] = {}
-        self.seen: set = set()
+        self._index: Dict[Tuple[str, int], List[Dict[Optional[Term], List[Atom]]]] = {}
+        self.seen: Set[Atom] = set()
+        self.open: Set[int] = set()
         self.count = 0
 
     def add(self, atom: Atom) -> bool:
-        key = render_atom(_canonical_atom(atom, {}))
-        if key in self.seen:
+        ground = all(map(is_ground, atom.args))
+        self.seen.add(atom if ground else rename_atom(atom, {}, canonical_var))
+        if len(self.seen) == self.count:
             return False
-        self.seen.add(key)
-        pkey = (atom.pred, atom.arity)
+        if not ground:
+            self.open.add(id(atom))
+        pkey = (atom.pred, len(atom.args))
         self.by_pred.setdefault(pkey, []).append(atom)
-        slots = self._index.setdefault(pkey, [dict() for _ in range(atom.arity)])
-        for i, arg in enumerate(atom.args):
-            bucket = render_term(arg) if is_ground(arg) else None
-            slots[i].setdefault(bucket, []).append(atom)
+        slots = self._index.setdefault(pkey, [dict() for _ in atom.args])
+        for slot, arg in zip(slots, atom.args):
+            slot.setdefault(arg if ground or is_ground(arg) else None, []).append(atom)
         self.count += 1
         return True
 
     def candidates(self, pattern: Atom) -> List[Atom]:
         """Facts that could unify with `pattern` (complete, maybe loose)."""
-        pkey = (pattern.pred, pattern.arity)
+        pkey = (pattern.pred, len(pattern.args))
         base = self.by_pred.get(pkey, [])
         if len(base) <= 8:
             return base
-        slots = self._index[pkey]
         best = base
-        for i, arg in enumerate(pattern.args):
+        for slot, arg in zip(self._index[pkey], pattern.args):
             if not is_ground(arg):
                 continue
-            slot = slots[i]
-            exact = slot.get(render_term(arg), ())
+            exact = slot.get(arg, ())
             wild = slot.get(None, ())
             if len(exact) + len(wild) < len(best):
                 best = list(exact) + list(wild)
         return best
 
 
-def _rename_apart(atom: Atom, counter: itertools.count) -> Atom:
-    mapping: Dict[str, Term] = {}
-
-    def rn(term: Term) -> Term:
-        if isinstance(term, Var):
-            if term.name not in mapping:
-                mapping[term.name] = Var(f"{_FRESH_PREFIX}{next(counter)}")
-            return mapping[term.name]
-        if not term.args:
-            return term
-        return Compound(term.functor, tuple(rn(a) for a in term.args))
-
-    if all(is_ground(a) for a in atom.args):
-        return atom
-    return Atom(atom.pred, tuple(rn(a) for a in atom.args))
+def _fresh_vars() -> Callable[[int], Term]:
+    """A `rename_atom` source of variables no clause can name: $F0, $F1, ..."""
+    counter = itertools.count()
+    return lambda _: Var(f"{_FRESH_PREFIX}{next(counter)}")
 
 
-def _atom_depth(atom: Atom) -> int:
-    return max((term_depth(a) for a in atom.args), default=0)
+def _join(body: Sequence[Atom], subst: Dict[str, Term], store: FactStore, fresh,
+          delta: Iterable[int] = (), i: int = 0, used: bool = False) -> Iterator:
+    """Depth-first extensions of `subst` that unify `body[i:]` with stored
+    facts, each fact with a variable renamed apart per use.  Yields
+    (subst, used): `used` says some joined fact has its id in `delta`.
+    Candidate lists are live, so `store` must not grow during the walk."""
+    if i == len(body):
+        yield subst, used
+        return
+    pattern = apply_subst_atom(body[i], subst)
+    for fact in store.candidates(pattern):
+        renamed = rename_atom(fact, {}, fresh) if id(fact) in store.open else fact
+        nxt = unify_atoms(pattern, renamed, subst)
+        if nxt is not None:
+            yield from _join(body, nxt, store, fresh, delta, i + 1, used or id(fact) in delta)
 
 
 def _fire(clause: Rule, store: FactStore, delta_keys, fresh, limits) -> List[Atom]:
     """Heads derivable from `clause`; `delta_keys=None` lifts the semi-naive
     requirement that at least one joined fact be new this round."""
     out: List[Atom] = []
-    body = clause.body
-
-    def join(i: int, subst, used_delta: bool) -> None:
-        if i == len(body):
-            if delta_keys is not None and not used_delta:
-                return
+    for subst, used in _join(clause.body, {}, store, fresh, delta_keys or ()):
+        if used or delta_keys is None:
             head = apply_subst_atom(clause.head, subst)
-            if _atom_depth(head) <= limits.max_term_depth:
+            if max(map(term_depth, head.args), default=0) <= limits.max_term_depth:
                 out.append(head)
-            return
-        pattern = apply_subst_atom(body[i], subst)
-        for fact in store.candidates(pattern):
-            renamed = _rename_apart(fact, fresh)
-            nxt = unify_atoms(pattern, renamed, subst)
-            if nxt is not None:
-                join(
-                    i + 1,
-                    nxt,
-                    used_delta or delta_keys is None or id(fact) in delta_keys,
-                )
-
-    join(0, {}, False)
     return out
 
 
@@ -382,7 +375,7 @@ def extend_closure(
     LimitExceeded when the fact cap is hit, or when the round cap stops
     saturation before a fixpoint.
     """
-    fresh = itertools.count()
+    fresh = _fresh_vars()
     delta = [atom for atom in new_facts if store.add(atom)]
     for clause in new_clauses:
         delta.extend(a for a in _fire(clause, store, None, fresh, limits) if store.add(a))
@@ -409,23 +402,15 @@ def extend_closure(
 # coverage
 
 
+def _skolem(n: int) -> Term:
+    return Compound(f"{SKOLEM_PREFIX}{n}")
+
+
 def skolemize(rule: Rule) -> Tuple[Atom, Tuple[Atom, ...]]:
     """Replace the rule's variables by fresh reserved constants."""
     mapping: Dict[str, Term] = {}
-
-    def sk(term: Term) -> Term:
-        if isinstance(term, Var):
-            if term.name not in mapping:
-                mapping[term.name] = Compound(f"{SKOLEM_PREFIX}{len(mapping)}")
-            return mapping[term.name]
-        if not term.args:
-            return term
-        return Compound(term.functor, tuple(sk(a) for a in term.args))
-
-    def sk_atom(atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple(sk(a) for a in atom.args))
-
-    return sk_atom(rule.head), tuple(sk_atom(a) for a in rule.body)
+    head, *body = (rename_atom(a, mapping, _skolem) for a in rule.atoms())
+    return head, tuple(body)
 
 
 def general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
@@ -434,23 +419,10 @@ def general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
     The head must match the (ground) goal exactly; each body atom must then
     unify with some stored fact, facts being renamed apart per use.
     """
-    fresh = itertools.count()
     subst = match_atom(general.head, goal, {})
     if subst is None:
         return False
-
-    def solve(i: int, subst) -> bool:
-        if i == len(general.body):
-            return True
-        pattern = apply_subst_atom(general.body[i], subst)
-        for fact in store.candidates(pattern):
-            renamed = _rename_apart(fact, fresh)
-            nxt = unify_atoms(pattern, renamed, subst)
-            if nxt is not None and solve(i + 1, nxt):
-                return True
-        return False
-
-    return solve(0, subst)
+    return next(_join(general.body, subst, store, _fresh_vars()), None) is not None
 
 
 def covers(

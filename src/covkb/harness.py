@@ -158,6 +158,12 @@ _SCALAR_KEYS = {
 }
 
 
+def _take(source: Dict, *keys: str, **renamed: str) -> Dict:
+    """Pop the keys `source` sets as field -> value; `renamed` holds field=key."""
+    renamed.update(zip(keys, keys))
+    return {field: source.pop(key) for field, key in renamed.items() if key in source}
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     text = _read(path, "scenario file")
@@ -193,22 +199,18 @@ def load_scenario(path: str) -> ScenarioConfig:
     for mode_key in ("rule_rule_coverage", "rule_evidence_coverage"):
         if mode_key in top and top[mode_key] not in (SUBSUMPTION, DERIVATION):
             raise ConfigError(f"bad value for {mode_key!r}")
+    # Only the keys the file sets: the dataclasses own every default.
     try:
         coverage = CoverageConfig(
-            rule_rule_mode=top.pop("rule_rule_coverage", SUBSUMPTION),
-            rule_evidence_mode=top.pop("rule_evidence_coverage", DERIVATION),
-            limits=DeriveLimits(
-                max_depth=scalars.pop("max_depth", 10),
-                max_facts=scalars.pop("max_facts", 10000),
-                max_term_depth=scalars.pop("max_term_depth", 6),
-            ),
+            limits=DeriveLimits(**_take(scalars, "max_depth", "max_facts", "max_term_depth")),
+            **_take(top, rule_rule_mode="rule_rule_coverage",
+                    rule_evidence_mode="rule_evidence_coverage"),
         )
+        modes = _take(top, theta_p="theta_p_mode", theta_d="theta_d_mode")
         policy = Policy(
-            beta=float(scalars.pop("beta", 0.5)),
-            theta_p=_parse_threshold(top.pop("theta_p_mode", AVG_OPT_CLAMPED)),
-            theta_d=_parse_threshold(top.pop("theta_d_mode", "fixed:-inf")),
-            forget_fraction=float(scalars.pop("forget_fraction", 0.25)),
-            consolidation_class=top.pop("consolidation_class", None),
+            **_take(scalars, "beta", "forget_fraction"),
+            **_take(top, "consolidation_class"),
+            **{name: _parse_threshold(text) for name, text in modes.items()},
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -258,9 +260,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         if phase.steps < 0:
             raise ConfigError("steps must be >= 0")
     cfg = ScenarioConfig(
-        seed=int(scalars.pop("seed", 0)),
-        arrival_p=float(scalars.pop("arrival_p", 0.5)),
-        capacity=int(scalars.pop("capacity", 0)),
+        **_take(scalars, "seed", "arrival_p", "capacity"),
         policy=policy,
         coverage=coverage,
         background=background,
@@ -760,7 +760,11 @@ def load_snapshot(path: str) -> Snapshot:
             continue
         if pending is None:
             raise ConfigError(f"line {line_no}: clause without #node header: {line!r}")
-        parsed = parse_program(line)
+        try:
+            parsed = parse_program(line)
+        except ParseError as exc:
+            col = f", col {exc.col}" if exc.line else ""
+            raise ConfigError(f"line {line_no}{col}: {exc.reason}") from None
         if len(parsed) != 1:
             raise ConfigError(f"line {line_no}: expected one clause, got {len(parsed)}")
         fields, res = pending

@@ -38,6 +38,7 @@ class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line = line
         self.col = col
+        self.reason = message  # without the position
         if line:
             message = f"line {line}, col {col}: {message}"
         super().__init__(message)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 EVIDENCE = "evidence"
 CANDIDATE = "candidate"
@@ -176,26 +176,25 @@ def render_rule(rule: Rule) -> str:
     return head + " :- " + ", ".join(render_atom(a) for a in rule.body) + "."
 
 
-def _canonical_term(term: Term, mapping: dict) -> Term:
+def rename_term(term: Term, mapping: dict, fresh: Callable[[int], Term]) -> Term:
+    """`term` with each variable replaced through `mapping`; a variable not
+    yet in it maps to `fresh(len(mapping))`, so names follow first occurrence."""
     if isinstance(term, Var):
-        if term.name not in mapping:
-            mapping[term.name] = Var(f"V{len(mapping)}")
-        return mapping[term.name]
+        new = mapping.get(term.name)
+        if new is None:
+            new = mapping[term.name] = fresh(len(mapping))
+        return new
     if not term.args:
         return term
-    return Compound(term.functor, tuple(_canonical_term(a, mapping) for a in term.args))
+    return Compound(term.functor, tuple(rename_term(a, mapping, fresh) for a in term.args))
 
 
-def _canonical_atom(atom: Atom, mapping: dict) -> Atom:
-    return Atom(atom.pred, tuple(_canonical_term(a, mapping) for a in atom.args))
+def rename_atom(atom: Atom, mapping: dict, fresh: Callable[[int], Term]) -> Atom:
+    return Atom(atom.pred, tuple(rename_term(a, mapping, fresh) for a in atom.args))
 
 
-def canonical_rule(rule: Rule) -> Rule:
-    """Copy of `rule` with variables renamed V0, V1, ... by first occurrence."""
-    mapping: dict = {}
-    head = _canonical_atom(rule.head, mapping)
-    body = tuple(_canonical_atom(a, mapping) for a in rule.body)
-    return replace(rule, head=head, body=body)
+def canonical_var(n: int) -> Var:
+    return Var(f"V{n}")
 
 
 def canonical_form(rule: Rule) -> str:
@@ -205,7 +204,9 @@ def canonical_form(rule: Rule) -> str:
     not semantic).  The class label is part of the key so the same fact
     filed under two classes stays distinct.
     """
-    text = render_rule(canonical_rule(rule))
+    mapping: dict = {}
+    head, *body = (rename_atom(a, mapping, canonical_var) for a in rule.atoms())
+    text = render_rule(replace(rule, head=head, body=tuple(body)))
     if rule.class_label is not None:
         return text + " #" + rule.class_label
     return text

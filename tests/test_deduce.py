@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from covkb import deduce
 from covkb.deduce import (
@@ -10,13 +12,15 @@ from covkb.deduce import (
     CoverageConfig,
     CoverageOracle,
     DeriveLimits,
+    FactStore,
     LimitExceeded,
     VerdictStore,
     covers,
     theta_subsumes,
+    unify_atoms,
 )
 from covkb.parser import parse_file, parse_program
-from covkb.rules import BACKGROUND, Rule
+from covkb.rules import BACKGROUND, Atom, Compound, Rule, Var
 
 from conftest import FAMILY_KBR
 from oracles import derives_goal
@@ -304,6 +308,80 @@ class TestProperties:
                     continue
                 if verdicts.get((b, c)):
                     assert verdicts.get((a, c)), f"{a}->{b}->{c} but not {a}->{c}"
+
+
+def terms(names):
+    leaf = st.one_of(st.sampled_from([Compound("a"), Compound("b"), Compound("1")]),
+                     st.sampled_from(names).map(Var))
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(lambda x: Compound("f", (x,)), sub),
+        st.builds(lambda x, y: Compound("g", (x, y)), sub, sub),
+    ), max_leaves=5)
+
+
+def atoms(names):
+    return st.one_of(st.builds(lambda x, y: Atom("p", (x, y)), terms(names), terms(names)),
+                     st.builds(lambda x: Atom("q", (x,)), terms(names)))
+
+
+FACT_VARS = ("X", "Y", "Z")
+PATTERN_VARS = ("A", "B")  # disjoint from FACT_VARS, so facts need no renaming apart
+# Bindings for copies of a fact: CYCLED renames, so it gives a variant; MERGED
+# and GROUNDED give instances, which are variants only if they bind nothing.
+CYCLED = {"X": Var("Y"), "Y": Var("Z"), "Z": Var("X")}
+MERGED = dict.fromkeys(FACT_VARS, Var("X"))
+GROUNDED = dict.fromkeys(FACT_VARS, Compound("a"))
+
+
+def substituted(atom, binding):
+    def term(t):
+        if isinstance(t, Var):
+            return binding[t.name]
+        return Compound(t.functor, tuple(map(term, t.args)))
+    return Atom(atom.pred, tuple(map(term, atom.args)))
+
+
+def is_variant(a, b):
+    """Brute force: a bijection between the variables maps `a` onto `b`."""
+    there, back = {}, {}
+
+    def same(x, y):
+        if isinstance(x, Var) or isinstance(y, Var):
+            return (isinstance(x, Var) and isinstance(y, Var)
+                    and there.setdefault(x.name, y.name) == y.name
+                    and back.setdefault(y.name, x.name) == x.name)
+        return (x.functor == y.functor and len(x.args) == len(y.args)
+                and all(map(same, x.args, y.args)))
+
+    return a.pred == b.pred and len(a.args) == len(b.args) and all(map(same, a.args, b.args))
+
+
+class TestFactStore:
+    # Without the explain phase, which here takes most of a failing run.
+    @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p != Phase.explain])
+    @given(st.lists(atoms(FACT_VARS), min_size=18, max_size=30),
+           st.lists(atoms(PATTERN_VARS), min_size=1, max_size=12))
+    def test_keys_refuse_exactly_variants_and_candidates_are_complete(self, facts, patterns):
+        # Copies of earlier facts: variants, instances and ground instances.
+        facts += [substituted(a, b) for b in (CYCLED, MERGED, GROUNDED) for a in facts[::3]]
+        store, stored = FactStore(), []
+        for atom in facts:
+            new = not any(is_variant(atom, old) for old in stored)
+            assert store.add(atom) == new, atom
+            if new:
+                stored.append(atom)
+        assert store.count == len(stored)
+        ground = [a for a in stored if all(map(deduce.is_ground, a.args))]
+        for pattern in patterns + ground:
+            found = {id(f) for f in store.candidates(pattern)}
+            assert all(id(f) in found for f in stored if unify_atoms(pattern, f, {}) is not None)
+
+    def test_a_ground_argument_narrows_to_its_bucket_and_the_wildcards(self):
+        facts = [Atom("p", (Compound(str(i)), Var("X"))) for i in range(20)]
+        wild = Atom("p", (Var("X"), Compound("f", (Compound("a"),))))
+        store = FactStore()
+        assert all(store.add(a) for a in facts + [wild])
+        assert store.candidates(Atom("p", (Compound("3"), Compound("b")))) == [facts[3], wild]
 
 
 class TestBackground:

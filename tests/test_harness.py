@@ -7,6 +7,8 @@ import pytest
 from covkb.cli import main as cli_main
 from covkb.harness import (
     ConfigError,
+    PhaseConfig,
+    ScenarioConfig,
     derive_cell_seed,
     export_dot,
     load_grid,
@@ -99,6 +101,11 @@ class TestConfigLoading:
         bad.write_text("steps = 3\ntheta_p_mode = squiggly\n")
         with pytest.raises(ConfigError, match="threshold"):
             load_scenario(str(bad))
+
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path):
+        scn = tmp_path / "bare.scn"
+        scn.write_text("steps = 1\n")
+        assert load_scenario(str(scn)) == ScenarioConfig(phases=(PhaseConfig(steps=1),))
 
     def test_cell_seed_is_stable(self):
         a = derive_cell_seed(777, 60, 0.5, 3)
@@ -238,6 +245,12 @@ class TestSnapshot:
         path.write_text(f"#snapshot 1\n#classes + -\n{header}\n{clause}")
         # the last line of `header` is the bad one
         with pytest.raises(ConfigError, match=f"line {3 + header.count(chr(10))}:"):
+            load_snapshot(str(path))
+
+    def test_clause_syntax_error_gives_its_line_in_the_file(self, tmp_path):
+        path = tmp_path / "bad.snapshot"
+        path.write_text("#snapshot 1\n#classes + -\n#node id=1 origin=candidate\np(a) :- .\n")
+        with pytest.raises(ConfigError, match=r"^line 4, col 9: expected a predicate name"):
             load_snapshot(str(path))
 
     def test_restore_rejects_other_classes(self, tmp_path):
@@ -387,6 +400,11 @@ class TestCli:
         assert cli_main(["run", FAMILY_SCN, "--seed", "-1", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
         assert not (tmp_path / "steps.csv").exists()
+
+    def test_grid_jobs_below_one_exits_1(self, tmp_path, capsys):
+        assert cli_main(["grid", GRID, "--jobs", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+        assert not (tmp_path / "heatmap.csv").exists()
 
     def test_grid_negative_base_seed_exits_1(self, tmp_path, capsys):
         scn = tmp_path / "neg.scn"
