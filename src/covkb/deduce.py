@@ -16,11 +16,11 @@ Two coverage semantics are provided.
 Forward chaining tolerates non-range-restricted clauses by storing
 non-ground derived atoms (an unbound head variable stands for "any term").
 Facts are keyed by structure, never by their text: a ground fact by the
-atom itself, any other by its canonical renaming.  Each round joins every
-clause over the whole store and drops the joins that used no fact new in
-the last round; joining each body position against the new facts alone is
-ROADMAP item 3(a), and the one join that `_fire` and `general_fires` share
-is where it would go.  All searches are bounded by `DeriveLimits`.
+atom itself, any other by its canonical renaming.  Rounds are semi-naive:
+a clause is joined once per body position k whose predicate gained facts
+in the last round; position k reads only those facts and earlier positions
+skip them, so each join that uses a new fact is made exactly once.  All
+searches are bounded by `DeriveLimits`.
 """
 
 from __future__ import annotations
@@ -310,6 +310,9 @@ class FactStore:
         return best
 
 
+Delta = Dict[Tuple[str, int], Dict[int, Atom]]  # last round's new facts by predicate, by id
+
+
 def _fresh_vars() -> Callable[[int], Term]:
     """A `rename_atom` source of variables no clause can name: $F0, $F1, ..."""
     counter = itertools.count()
@@ -317,28 +320,47 @@ def _fresh_vars() -> Callable[[int], Term]:
 
 
 def _join(body: Sequence[Atom], subst: Dict[str, Term], store: FactStore, fresh,
-          delta: Iterable[int] = (), i: int = 0, used: bool = False) -> Iterator:
+          delta: Optional[Delta] = None, k: int = -1, i: int = 0) -> Iterator:
     """Depth-first extensions of `subst` that unify `body[i:]` with stored
-    facts, each fact with a variable renamed apart per use.  Yields
-    (subst, used): `used` says some joined fact has its id in `delta`.
-    Candidate lists are live, so `store` must not grow during the walk."""
+    facts, each fact with a variable renamed apart per use.
+
+    With `delta`, position `k` reads only delta facts, positions before it
+    skip them and later ones read the whole store.  A ground pattern
+    renames nothing and binds nothing, so only the first fact that
+    matches it is followed.  Candidate lists are live, so `store` must not
+    grow during the walk."""
     if i == len(body):
-        yield subst, used
+        yield subst
         return
     pattern = apply_subst_atom(body[i], subst)
-    for fact in store.candidates(pattern):
+    facts = store.candidates(pattern)
+    if i <= k:
+        news = delta.get(pattern.key, {})
+        if i == k and len(news) < len(facts):
+            facts = news.values()
+        elif news:
+            facts = [f for f in facts if (id(f) in news) == (i == k)]
+    if all(map(is_ground, pattern.args)):
+        if any(match_atom(f, pattern, {}) is not None if id(f) in store.open else f == pattern
+               for f in facts):
+            yield from _join(body, subst, store, fresh, delta, k, i + 1)
+        return
+    for fact in facts:
         renamed = rename_atom(fact, {}, fresh) if id(fact) in store.open else fact
         nxt = unify_atoms(pattern, renamed, subst)
         if nxt is not None:
-            yield from _join(body, nxt, store, fresh, delta, i + 1, used or id(fact) in delta)
+            yield from _join(body, nxt, store, fresh, delta, k, i + 1)
 
 
-def _fire(clause: Rule, store: FactStore, delta_keys, fresh, limits) -> List[Atom]:
-    """Heads derivable from `clause`; `delta_keys=None` lifts the semi-naive
-    requirement that at least one joined fact be new this round."""
+def _fire(clause: Rule, store: FactStore, delta: Optional[Delta], fresh, limits) -> List[Atom]:
+    """Heads derivable from `clause` by the joins that use a fact of
+    `delta`: one join per body position whose predicate has delta facts.
+    `delta=None` joins once over the whole store."""
     out: List[Atom] = []
-    for subst, used in _join(clause.body, {}, store, fresh, delta_keys or ()):
-        if used or delta_keys is None:
+    body = clause.body
+    positions = [-1] if delta is None else [k for k, a in enumerate(body) if a.key in delta]
+    for k in positions:
+        for subst in _join(body, {}, store, fresh, delta, k):
             head = apply_subst_atom(clause.head, subst)
             if max(map(term_depth, head.args), default=0) <= limits.max_term_depth:
                 out.append(head)
@@ -368,12 +390,12 @@ def extend_closure(
     and the non-fact `new_clauses`; `all_clauses` are the grown set's.
 
     An empty store with no new clauses is a fresh saturation.  New clauses
-    are joined once over the whole store (no delta requirement), then
-    semi-naive rounds run for every clause.  The round budget restarts on
-    each call, so a store grown incrementally may hold consequences
-    slightly deeper than one saturation pass would allow.  Raises
-    LimitExceeded when the fact cap is hit, or when the round cap stops
-    saturation before a fixpoint.
+    are joined once over the whole store, then each round joins every
+    clause against the facts the previous round added (`_fire`).  The
+    round budget restarts on each call, so a store grown incrementally may
+    hold consequences slightly deeper than one saturation pass would
+    allow.  Raises LimitExceeded when the fact cap is hit, or when the
+    round cap stops saturation before a fixpoint.
     """
     fresh = _fresh_vars()
     delta = [atom for atom in new_facts if store.add(atom)]
@@ -384,10 +406,12 @@ def extend_closure(
     for _ in range(limits.max_depth):
         if not delta:
             return
-        delta_keys = {id(a) for a in delta}
+        by_key: Delta = {}
+        for atom in delta:
+            by_key.setdefault(atom.key, {})[id(atom)] = atom
         new: List[Atom] = []
         for clause in all_clauses:
-            new.extend(_fire(clause, store, delta_keys, fresh, limits))
+            new.extend(_fire(clause, store, by_key, fresh, limits))
         delta = []
         for atom in new:
             if store.add(atom):

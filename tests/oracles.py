@@ -1,10 +1,16 @@
 """Test-only reference oracles, independent of the library's fast paths."""
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+import itertools
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from covkb.covgraph import CoverageGraph
-from covkb.deduce import Background, DeriveLimits, forward_closure, match_atom
-from covkb.rules import CANDIDATE, EVIDENCE, Atom, Compound, Rule, rule_length
+from covkb.deduce import (
+    Background, DeriveLimits, FactStore, LimitExceeded, apply_subst_atom, forward_closure,
+    match_atom, unify_atoms,
+)
+from covkb.rules import (
+    CANDIDATE, EVIDENCE, Atom, Compound, Rule, Var, rename_atom, rule_length, term_depth,
+)
 
 ClassVector = Dict[str, float]
 
@@ -159,3 +165,103 @@ def derives_goal(
     a full saturation, then a lookup for a fact that `goal` is an instance of."""
     store = forward_closure(bg.extended(extra), limits=limits)
     return any(match_atom(f, goal, {}) is not None for f in store.candidates(goal))
+
+
+def is_variant(a: Atom, b: Atom) -> bool:
+    """Brute force: a bijection between the variables maps `a` onto `b`."""
+    there: Dict[str, str] = {}
+    back: Dict[str, str] = {}
+
+    def same(x, y):
+        if isinstance(x, Var) or isinstance(y, Var):
+            return (isinstance(x, Var) and isinstance(y, Var)
+                    and there.setdefault(x.name, y.name) == y.name
+                    and back.setdefault(y.name, x.name) == x.name)
+        return (x.functor == y.functor and len(x.args) == len(y.args)
+                and all(map(same, x.args, y.args)))
+
+    return a.pred == b.pred and len(a.args) == len(b.args) and all(map(same, a.args, b.args))
+
+
+def same_facts_modulo_variants(a: Sequence[Atom], b: Sequence[Atom]) -> bool:
+    """True iff `is_variant` pairs the facts of `a` one to one with those
+    of `b`; each side must hold no two variants of one fact."""
+    def skeleton(atom):
+        return rename_atom(atom, {}, lambda _: Var("_"))
+
+    buckets: Dict[Atom, List[Atom]] = {}
+    for atom in b:
+        buckets.setdefault(skeleton(atom), []).append(atom)
+    for atom in a:
+        bucket = buckets.get(skeleton(atom), [])
+        hit = next((i for i, other in enumerate(bucket) if is_variant(atom, other)), None)
+        if hit is None:
+            return False
+        bucket.pop(hit)
+    return not any(buckets.values())
+
+
+def _fresh_vars():
+    counter = itertools.count()
+    return lambda _: Var(f"$R{next(counter)}")
+
+
+def reference_join(body: Sequence[Atom], subst, store: FactStore, fresh,
+                   delta: Set[int] = frozenset(), i: int = 0, used: bool = False) -> Iterator:
+    """The whole-store join: every stored fact of the predicate is renamed
+    apart and unified with `body[i]`.  Yields (subst, used): `used` says some
+    joined fact has its id in `delta`."""
+    if i == len(body):
+        yield subst, used
+        return
+    pattern = apply_subst_atom(body[i], subst)
+    for fact in store.by_pred.get(pattern.key, []):
+        nxt = unify_atoms(pattern, rename_atom(fact, {}, fresh), subst)
+        if nxt is not None:
+            yield from reference_join(body, nxt, store, fresh, delta, i + 1,
+                                      used or id(fact) in delta)
+
+
+def reference_fire(clause: Rule, store: FactStore, delta: Optional[Set[int]], fresh,
+                   limits: DeriveLimits) -> List[Atom]:
+    """Heads of the joins that used a fact of `delta` (every join when None)."""
+    out = []
+    for subst, used in reference_join(clause.body, {}, store, fresh, delta or frozenset()):
+        if used or delta is None:
+            head = apply_subst_atom(clause.head, subst)
+            if max(map(term_depth, head.args), default=0) <= limits.max_term_depth:
+                out.append(head)
+    return out
+
+
+def reference_extend_closure(store: FactStore, all_clauses: Sequence[Rule],
+                             new_clauses: Sequence[Rule], new_facts: Sequence[Atom],
+                             limits: DeriveLimits) -> None:
+    """`deduce.extend_closure` over `reference_fire`: each round joins every
+    clause over the whole store and drops the joins that used no new fact."""
+    fresh = _fresh_vars()
+    delta = [atom for atom in new_facts if store.add(atom)]
+    for clause in new_clauses:
+        delta.extend(a for a in reference_fire(clause, store, None, fresh, limits) if store.add(a))
+    if store.count > limits.max_facts:
+        raise LimitExceeded("initial facts exceed max_facts")
+    for _ in range(limits.max_depth):
+        if not delta:
+            return
+        ids = {id(a) for a in delta}
+        new = [h for c in all_clauses for h in reference_fire(c, store, ids, fresh, limits)]
+        delta = []
+        for atom in new:
+            if store.add(atom):
+                if store.count > limits.max_facts:
+                    raise LimitExceeded("derived fact count exceeds max_facts")
+                delta.append(atom)
+    if delta:
+        raise LimitExceeded("round cap reached before fixpoint")
+
+
+def reference_general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
+    """`deduce.general_fires` over the whole-store join."""
+    subst = match_atom(general.head, goal, {})
+    return subst is not None and next(
+        reference_join(general.body, subst, store, _fresh_vars()), None) is not None

@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from covkb.covgraph import (
@@ -399,8 +399,14 @@ class TestLocalUpkeep:
         assert g.desc == {1: 0, 3: 0}
 
 
+# Without the explain phase.  On a copy with a broken rule, a failing run
+# took about 5 minutes and up to 855 MB with it, since its line tracing
+# also slows shrinking, and 25-120 s and at most 131 MB without it.
+NO_EXPLAIN = [p for p in Phase if p != Phase.explain]
+
+
 class TestMutationInvariants:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(OPS)
     # removing a root leaves its child with no parent and nothing else touched
     @example([("insert", 0, 0.0), ("insert", 0, 0.0), ("score", 0, 0.0), ("remove", 0, 0.0)])
@@ -411,7 +417,7 @@ class TestMutationInvariants:
     def test_random_mutations_keep_derived_state_exact(self, ops):
         self.check(ops, CoverageConfig())
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
     @given(OPS)
     def test_random_mutations_under_rule_rule_derivation(self, ops):
         # Rule-rule pairs are decided by `covers`, which saturates per pair.

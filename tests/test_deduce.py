@@ -1,7 +1,8 @@
+import os
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from covkb import deduce
@@ -20,10 +21,13 @@ from covkb.deduce import (
     unify_atoms,
 )
 from covkb.parser import parse_file, parse_program
-from covkb.rules import BACKGROUND, Atom, Compound, Rule, Var
+from covkb.rules import BACKGROUND, Atom, Compound, Rule, Var, rename_atom, render_rule
 
-from conftest import FAMILY_KBR
-from oracles import derives_goal
+from conftest import CHESS_DIR, FAMILY_KBR
+from oracles import (
+    derives_goal, is_variant, reference_extend_closure, reference_general_fires,
+    same_facts_modulo_variants,
+)
 
 
 def rules_of(text):
@@ -310,18 +314,19 @@ class TestProperties:
                     assert verdicts.get((a, c)), f"{a}->{b}->{c} but not {a}->{c}"
 
 
-def terms(names):
+def terms(names, max_leaves=5):
     leaf = st.one_of(st.sampled_from([Compound("a"), Compound("b"), Compound("1")]),
                      st.sampled_from(names).map(Var))
     return st.recursive(leaf, lambda sub: st.one_of(
         st.builds(lambda x: Compound("f", (x,)), sub),
         st.builds(lambda x, y: Compound("g", (x, y)), sub, sub),
-    ), max_leaves=5)
+    ), max_leaves=max_leaves)
 
 
-def atoms(names):
-    return st.one_of(st.builds(lambda x, y: Atom("p", (x, y)), terms(names), terms(names)),
-                     st.builds(lambda x: Atom("q", (x,)), terms(names)))
+def atoms(names, max_leaves=5):
+    t = terms(names, max_leaves)
+    return st.one_of(st.builds(lambda x, y: Atom("p", (x, y)), t, t),
+                     st.builds(lambda x: Atom("q", (x,)), t))
 
 
 FACT_VARS = ("X", "Y", "Z")
@@ -339,21 +344,6 @@ def substituted(atom, binding):
             return binding[t.name]
         return Compound(t.functor, tuple(map(term, t.args)))
     return Atom(atom.pred, tuple(map(term, atom.args)))
-
-
-def is_variant(a, b):
-    """Brute force: a bijection between the variables maps `a` onto `b`."""
-    there, back = {}, {}
-
-    def same(x, y):
-        if isinstance(x, Var) or isinstance(y, Var):
-            return (isinstance(x, Var) and isinstance(y, Var)
-                    and there.setdefault(x.name, y.name) == y.name
-                    and back.setdefault(y.name, x.name) == x.name)
-        return (x.functor == y.functor and len(x.args) == len(y.args)
-                and all(map(same, x.args, y.args)))
-
-    return a.pred == b.pred and len(a.args) == len(b.args) and all(map(same, a.args, b.args))
 
 
 class TestFactStore:
@@ -382,6 +372,113 @@ class TestFactStore:
         store = FactStore()
         assert all(store.add(a) for a in facts + [wild])
         assert store.candidates(Atom("p", (Compound("3"), Compound("b")))) == [facts[3], wild]
+
+
+def clauses(names):
+    # Small terms, so that joins of several body atoms succeed.
+    return st.tuples(atoms(names, 2), st.lists(atoms(names, 2), min_size=1, max_size=3))
+
+
+def numbered(specs, start):
+    """Rules from (head, body) pairs, or from bare atoms as facts."""
+    return [Rule(id=start + n, head=s[0], body=tuple(s[1])) if isinstance(s, tuple)
+            else Rule(id=start + n, head=s) for n, s in enumerate(specs)]
+
+
+def saturate(extend, bg, grown, limits):
+    """Saturate `bg`, then extend by what `grown` adds, as an oracle does
+    after a promotion; gives the store and the LimitExceeded message."""
+    store = FactStore()
+    added = [r for r in grown.rules if r.id not in bg.rule_ids]
+    try:
+        extend(store, bg.clauses, (), bg.facts, limits)
+        extend(store, grown.clauses, [r for r in added if not r.is_fact],
+               [r.head for r in added if r.is_fact], limits)
+    except LimitExceeded as exc:
+        return store, str(exc)
+    return store, None
+
+
+def stored(store):
+    return [a for facts in store.by_pred.values() for a in facts]
+
+
+def grounded(atom, constants):
+    return rename_atom(atom, {}, lambda n: Compound(constants[n % len(constants)]))
+
+
+class TestSemiNaiveJoin:
+    """The delta-driven join against the whole-store reference in oracles.py.
+
+    Programs over p/2 and q/1 recurse, repeat variables, nest terms and
+    have heads that are not range-restricted; facts may hold variables.
+    Saturating with max_depth = 1, 2, ... stops after that many rounds,
+    so the stores compared are each round's."""
+
+    @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p != Phase.explain])
+    # Round 2 derives q(1) only from p(b,1), old, at position 0 and q(b),
+    # new, at position 1, in a round whose delta holds p and q facts.
+    @example([r.head for r in rules_of("p(a,b). p(b,1). q(a).")],
+             [(r.head, list(r.body))
+              for r in rules_of("q(Y) :- p(X,Y), q(X). p(Y,f(Y)) :- q(Y).")],
+             [], [], 4, 30, 2)
+    @given(st.lists(atoms(FACT_VARS, 2), min_size=1, max_size=8),
+           st.lists(clauses(FACT_VARS), min_size=1, max_size=3),
+           st.lists(st.one_of(atoms(FACT_VARS, 2), clauses(FACT_VARS)), max_size=3),
+           st.lists(atoms(FACT_VARS), max_size=4),
+           st.integers(1, 4), st.integers(4, 30), st.integers(1, 3))
+    def test_rounds_and_fires_match_the_reference(self, facts, rules, added, goals,
+                                                  max_depth, max_facts, max_term_depth):
+        bg = Background(numbered(facts + rules, 0))
+        grown = bg.extended(numbered(added, 100))
+        for depth in range(1, max_depth + 1):
+            limits = DeriveLimits(depth, max_facts, max_term_depth)
+            store, hit = saturate(deduce.extend_closure, bg, grown, limits)
+            want, want_hit = saturate(reference_extend_closure, bg, grown, limits)
+            assert hit == want_hit
+            assert store.count == want.count
+            assert same_facts_modulo_variants(stored(store), stored(want))
+        goals = [grounded(a, c) for a in goals + stored(store) for c in ("a", "ab")]
+        for general in grown.clauses:
+            for goal in goals:
+                assert (deduce.general_fires(general, goal, store)
+                        == reference_general_fires(general, goal, store)), (general, goal)
+
+
+class TestIncrementalFixture:
+    """Saturate the incremental scenario's consolidated rules as a run does:
+    the rook and bishop clauses that unit 1 consolidates, then the queen
+    clause through the rook, then the one through the bishop."""
+
+    @staticmethod
+    def from_fixture(name, texts):
+        by_text = {render_rule(r): r for r in parse_file(os.path.join(CHESS_DIR, name))}
+        return [by_text[t] for t in texts]
+
+    def test_counts_and_facts_match_the_reference(self):
+        limits = DeriveLimits()
+        bg = parse_file(os.path.join(CHESS_DIR, "background.kbr"))
+        pieces = self.from_fixture("rook_bishop_candidates.kbr", [
+            "move(rook,pos(F,R1),pos(F,R2)) :- diff(R1,R2,D).",
+            "move(rook,pos(F1,R),pos(F2,R)) :- diff(F1,F2,D).",
+            "move(bishop,pos(F1,R1),pos(F2,R2)) :- diff(F1,F2,D), diff(R1,R2,D).",
+        ])
+        queens = self.from_fixture("queen_candidates.kbr", [
+            "move(queen,P1,P2) :- move(rook,P1,P2).",
+            "move(queen,P1,P2) :- move(bishop,P1,P2).",
+        ])
+        rules = [with_id(r, n) for n, r in enumerate(bg + pieces + queens)]
+        base = Background(rules[:-2])
+        store = deduce.forward_closure(base, limits=limits)
+        want = FactStore()
+        reference_extend_closure(want, base.clauses, (), base.facts, limits)
+        seen = [(store.count, same_facts_modulo_variants(stored(store), stored(want)))]
+        for n, queen in enumerate(rules[-2:]):
+            grown = base.clauses + rules[-2:][:n + 1]
+            deduce.extend_closure(store, grown, [queen], [], limits)
+            reference_extend_closure(want, grown, [queen], [], limits)
+            seen.append((store.count, same_facts_modulo_variants(stored(store), stored(want))))
+        assert seen == [(2576, True), (2800, True), (5040, True)]
 
 
 class TestBackground:
