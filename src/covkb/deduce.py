@@ -279,7 +279,8 @@ class FactStore:
         self.count = 0
 
     def add(self, atom: Atom) -> bool:
-        ground = all(map(is_ground, atom.args))
+        flags = [is_ground(arg) for arg in atom.args]
+        ground = all(flags)
         self.seen.add(atom if ground else rename_atom(atom, {}, canonical_var))
         if len(self.seen) == self.count:
             return False
@@ -288,8 +289,8 @@ class FactStore:
         pkey = (atom.pred, len(atom.args))
         self.by_pred.setdefault(pkey, []).append(atom)
         slots = self._index.setdefault(pkey, [dict() for _ in atom.args])
-        for slot, arg in zip(slots, atom.args):
-            slot.setdefault(arg if ground or is_ground(arg) else None, []).append(atom)
+        for slot, arg, flag in zip(slots, atom.args, flags):
+            slot.setdefault(arg if flag else None, []).append(atom)
         self.count += 1
         return True
 

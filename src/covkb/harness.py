@@ -9,7 +9,9 @@ Reproducibility: one PCG64 generator per run, seeded from the scenario
 seed.  Per step the draw order is fixed: the evidence count, then that
 many uniform pool indices, then the rule count, then its indices.  Grid
 cells derive their seed by feeding (base seed, capacity, round(fraction *
-1e6), repetition) into `numpy.random.SeedSequence`.
+1e6), repetition) into SeedSequence.  Both are numpy-compatible
+(`numpy.random.default_rng` and `numpy.random.SeedSequence` draw the same
+values), implemented in `covkb.rng` and pinned by tests/test_rng.py.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .covgraph import CoverageGraph
 from .deduce import DERIVATION, SUBSUMPTION, CoverageConfig, DeriveLimits, VerdictStore
@@ -36,6 +36,7 @@ from .lifecycle import (
 )
 from .metrics import MetricsTable
 from .parser import ParseError, parse_program, scan_classes
+from .rng import PCG64, seed_words
 from .rules import (
     BACKGROUND,
     CANDIDATE,
@@ -399,11 +400,11 @@ def build_oneshot_state(cfg: ScenarioConfig) -> KnowledgeState:
 # sampling and the scenario runner
 
 
-def sample_geometric(rng: np.random.Generator, p: float) -> int:
+def sample_geometric(rng: PCG64, p: float) -> int:
     """Inverse-transform geometric draw on {1, 2, ...} from one uniform."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    u = float(rng.random())
+    u = rng.random()
     if p == 1.0:
         return 1
     return int(math.floor(math.log1p(-u) / math.log1p(-p))) + 1
@@ -423,7 +424,7 @@ def run_scenario(
 def _simulate(
     cfg: ScenarioConfig, state: KnowledgeState, pools: Pools, seed: int, out_dir=None
 ) -> Tuple[List[StepLog], KnowledgeState]:
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     logs: List[StepLog] = []
     writer = None
     fh = None
@@ -442,7 +443,7 @@ def _simulate(
                         continue
                     k = sample_geometric(rng, cfg.arrival_p)
                     for _ in range(k):
-                        arrivals.append(pool[int(rng.integers(0, len(pool)))])
+                        arrivals.append(pool[rng.integers(0, len(pool))])
                 log = state.step(arrivals)
                 logs.append(log)
                 if writer is not None:
@@ -461,10 +462,9 @@ def _simulate(
 
 def derive_cell_seed(base_seed: int, capacity: int, fraction: float, rep: int) -> int:
     """Documented integer mix for per-cell seeds (stable across runs)."""
-    seq = np.random.SeedSequence(
-        [int(base_seed), int(capacity), int(round(fraction * 1e6)), int(rep)]
-    )
-    return int(seq.generate_state(1, np.uint64)[0])
+    return seed_words(
+        [int(base_seed), int(capacity), int(round(fraction * 1e6)), int(rep)], 1
+    )[0]
 
 
 def _grid_cells(

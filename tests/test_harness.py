@@ -1,7 +1,6 @@
 import os
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from covkb.cli import main as cli_main
@@ -23,6 +22,7 @@ from covkb.harness import (
     write_snapshot,
 )
 from covkb.metrics import compute_table
+from covkb.rng import PCG64
 from covkb.rules import canonical_form
 
 from conftest import CHESS_DIR, FAMILY_KBR, FAMILY_SCN
@@ -38,17 +38,17 @@ GRID = os.path.join(CHESS_DIR, "grid.grid")
 
 class TestGeometricSampling:
     def test_p_one_always_one(self):
-        rng = np.random.default_rng(0)
+        rng = PCG64(0)
         assert all(sample_geometric(rng, 1.0) == 1 for _ in range(50))
 
     def test_out_of_range(self):
-        rng = np.random.default_rng(0)
+        rng = PCG64(0)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 sample_geometric(rng, bad)
 
     def test_pmf_and_mean(self):
-        rng = np.random.default_rng(12345)
+        rng = PCG64(12345)
         draws = [sample_geometric(rng, 0.5) for _ in range(100_000)]
         n = len(draws)
         assert draws.count(1) / n == pytest.approx(0.5, abs=0.01)
