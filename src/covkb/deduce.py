@@ -76,6 +76,11 @@ class CoverageConfig:
     rule_evidence_mode: str = DERIVATION
     limits: DeriveLimits = field(default_factory=DeriveLimits)
 
+    def __post_init__(self):
+        for mode in (self.rule_rule_mode, self.rule_evidence_mode):
+            if mode not in (SUBSUMPTION, DERIVATION):
+                raise ValueError(f"unknown coverage mode {mode!r}")
+
 
 class Background:
     """An immutable rule set used as auxiliary knowledge during derivation.

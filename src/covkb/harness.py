@@ -3,7 +3,8 @@
 Config files are line-oriented `key = value` text with `#` comments;
 lists are comma-separated and incremental scenarios declare consecutive
 `[phase]` sections, each with its own pools.  All paths are resolved
-relative to the config file.
+relative to the config file.  The config dataclasses check their own
+values, and a bad line raises ConfigError naming the file and the line.
 
 Reproducibility: one PCG64 generator per run, seeded from the scenario
 seed.  Per step the draw order is fixed: the evidence count, then that
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
-from .deduce import DERIVATION, SUBSUMPTION, CoverageConfig, DeriveLimits, VerdictStore
+from .deduce import CoverageConfig, VerdictStore
 from .lifecycle import (
     AVG_OPT,
     AVG_OPT_CLAMPED,
@@ -43,7 +44,7 @@ from .rules import (
     EVIDENCE,
     ORIGINS,
     Rule,
-    canonical_form,
+    canonical_form,  # noqa: F401  (unused here; perfbench/tracing.py wraps it)
     render_rule,
 )
 
@@ -61,6 +62,10 @@ class PhaseConfig:
     evidence: Optional[str] = None
     candidates: Optional[str] = None
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -71,6 +76,14 @@ class ScenarioConfig:
     coverage: CoverageConfig = field(default_factory=CoverageConfig)
     background: Optional[str] = None
     phases: Tuple[PhaseConfig, ...] = ()
+
+    def __post_init__(self):
+        if not 0.0 < self.arrival_p <= 1.0:
+            raise ValueError("arrival_p must lie in (0, 1]")
+        if self.capacity < 0:
+            raise ValueError("capacity must be >= 0 (0 means unbounded)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def steps(self) -> int:
@@ -85,6 +98,13 @@ class GridConfig:
     repetitions: int
     base_seed: int
 
+    def __post_init__(self):
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        for key, values in (("capacities", self.capacities), ("fractions", self.fractions)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} repeats a value")
+
     def cells(self) -> List[Tuple[int, float, int]]:
         return [
             (cap, frac, rep)
@@ -94,25 +114,33 @@ class GridConfig:
         ]
 
 
+def _cell_config(base: ScenarioConfig, capacity: int, fraction: float) -> ScenarioConfig:
+    """One grid cell's scenario; ValueError if either value is out of range."""
+    return replace(base, capacity=capacity, policy=replace(base.policy, forget_fraction=fraction))
+
+
 # ---------------------------------------------------------------------------
 # config file parsing
 
 
-def _parse_kv_lines(text: str):
-    """Yield (section, key, value, line_no); section None before any header."""
-    section = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+def _at(path: str, line_no: int, reason: object) -> ConfigError:
+    return ConfigError(f"{path}: line {line_no}: {reason}")
+
+
+def _config_lines(path: str, what: str):
+    """Yield (key, value, line_no) for each line of config file `path`; a
+    `[name]` section header yields (None, name, line_no)."""
+    for line_no, raw in enumerate(_read(path, what).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            yield section, None, None, line_no
+            yield None, line[1:-1].strip(), line_no
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key = value")
+            raise _at(path, line_no, "expected key = value")
         key, value = line.split("=", 1)
-        yield section, key.strip(), value.strip(), line_no
+        yield key.strip(), value.strip(), line_no
 
 
 def _read(path: str, what: str) -> str:
@@ -134,191 +162,128 @@ def make_out_dir(path: str) -> None:
 
 
 def _parse_threshold(text: str) -> Threshold:
-    if text == AVG_OPT:
-        return Threshold(AVG_OPT)
-    if text == AVG_OPT_CLAMPED:
-        return Threshold(AVG_OPT_CLAMPED)
+    if text in (AVG_OPT, AVG_OPT_CLAMPED):
+        return Threshold(text)
     if text.startswith("fixed:"):
         try:
             return Threshold(FIXED, float(text.split(":", 1)[1]))
         except ValueError:
-            raise ConfigError(f"bad fixed threshold {text!r}")
-    raise ConfigError(f"unknown threshold mode {text!r}")
+            raise ValueError(f"bad fixed threshold {text!r}") from None
+    raise ValueError(f"unknown threshold mode {text!r}")
 
 
-_SCALAR_KEYS = {
-    "seed": int,
-    "steps": int,
-    "arrival_p": float,
-    "capacity": int,
-    "forget_fraction": float,
-    "beta": float,
-    "max_depth": int,
-    "max_facts": int,
-    "max_term_depth": int,
+# Scenario key -> (field path, converter); a None converter marks a path,
+# resolved relative to the scenario file.  The dataclasses along the field
+# path check the value.  Phase keys set a PhaseConfig field: the current
+# [phase] section's, or the top level's in a scenario without sections.
+_PHASE_KEYS = {"steps", "evidence", "candidates"}
+_SCENARIO_KEYS = {
+    "seed": ("seed", int),
+    "arrival_p": ("arrival_p", float),
+    "capacity": ("capacity", int),
+    "beta": ("policy.beta", float),
+    "forget_fraction": ("policy.forget_fraction", float),
+    "theta_p_mode": ("policy.theta_p", _parse_threshold),
+    "theta_d_mode": ("policy.theta_d", _parse_threshold),
+    "consolidation_class": ("policy.consolidation_class", str),
+    "rule_rule_coverage": ("coverage.rule_rule_mode", str),
+    "rule_evidence_coverage": ("coverage.rule_evidence_mode", str),
+    "max_depth": ("coverage.limits.max_depth", int),
+    "max_facts": ("coverage.limits.max_facts", int),
+    "max_term_depth": ("coverage.limits.max_term_depth", int),
+    "background": ("background", None),
+    "steps": ("steps", int),
+    "evidence": ("evidence", None),
+    "candidates": ("candidates", None),
 }
 
 
-def _take(source: Dict, *keys: str, **renamed: str) -> Dict:
-    """Pop the keys `source` sets as field -> value; `renamed` holds field=key."""
-    renamed.update(zip(keys, keys))
-    return {field: source.pop(key) for field, key in renamed.items() if key in source}
+def _set(obj, path: str, value):
+    """`obj` with dotted field `path` set to `value`, checked by each dataclass on the way."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _set(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
 
 
 def load_scenario(path: str) -> ScenarioConfig:
+    """Read a `.scn` file; a bad line raises ConfigError naming file and line."""
     base_dir = os.path.dirname(os.path.abspath(path))
-    text = _read(path, "scenario file")
-
-    top: Dict[str, str] = {}
-    phases: List[Dict[str, str]] = []
-    current: Optional[Dict[str, str]] = None
-    for section, key, value, line_no in _parse_kv_lines(text):
+    cfg = ScenarioConfig()
+    phases = [PhaseConfig(steps=0)]  # the top level's, then one per [phase]
+    sections = [(set(), 0)]  # per phase: the keys it sets, its header line
+    for key, text, line_no in _config_lines(path, "scenario file"):
         if key is None:
-            if section != "phase":
-                raise ConfigError(f"line {line_no}: unknown section [{section}]")
-            current = {}
-            phases.append(current)
+            if text != "phase":
+                raise _at(path, line_no, f"unknown section [{text}]")
+            if len(phases) == 1 and sections[0][0] & _PHASE_KEYS:
+                raise _at(path, line_no,
+                          "top-level steps/evidence/candidates clash with [phase] sections")
+            phases.append(PhaseConfig(steps=0))
+            sections.append((set(), line_no))
             continue
-        target = current if current is not None else top
-        if key in target:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        target[key] = value
+        keys = sections[-1][0]
+        if key in keys:
+            raise _at(path, line_no, f"duplicate key {key!r}")
+        keys.add(key)
+        if key not in (_PHASE_KEYS if len(phases) > 1 else _SCENARIO_KEYS):
+            where = "[phase]" if len(phases) > 1 else "scenario"
+            raise _at(path, line_no, f"unknown {where} key {key!r}")
+        field_path, conv = _SCENARIO_KEYS[key]
+        try:
+            value = os.path.join(base_dir, text) if conv is None else conv(text)
+            if key in _PHASE_KEYS:
+                phases[-1] = _set(phases[-1], field_path, value)
+            else:
+                cfg = _set(cfg, field_path, value)
+        except ValueError as exc:
+            raise _at(path, line_no, exc) from None
+    for keys, line_no in sections[1:] or sections:
+        if "steps" not in keys:
+            section = f"line {line_no}: [phase]" if line_no else "scenario"
+            raise ConfigError(f"{path}: {section} is missing steps")
+    return replace(cfg, phases=tuple(phases[1:] or phases))
 
-    def resolve(p: Optional[str]) -> Optional[str]:
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    scalars: Dict[str, object] = {}
-    for key, conv in _SCALAR_KEYS.items():
-        if key in top:
-            try:
-                scalars[key] = conv(top.pop(key))
-            except ValueError:
-                raise ConfigError(f"bad value for {key!r}")
-
-    for mode_key in ("rule_rule_coverage", "rule_evidence_coverage"):
-        if mode_key in top and top[mode_key] not in (SUBSUMPTION, DERIVATION):
-            raise ConfigError(f"bad value for {mode_key!r}")
-    # Only the keys the file sets: the dataclasses own every default.
-    try:
-        coverage = CoverageConfig(
-            limits=DeriveLimits(**_take(scalars, "max_depth", "max_facts", "max_term_depth")),
-            **_take(top, rule_rule_mode="rule_rule_coverage",
-                    rule_evidence_mode="rule_evidence_coverage"),
-        )
-        modes = _take(top, theta_p="theta_p_mode", theta_d="theta_d_mode")
-        policy = Policy(
-            **_take(scalars, "beta", "forget_fraction"),
-            **_take(top, "consolidation_class"),
-            **{name: _parse_threshold(text) for name, text in modes.items()},
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    top_steps = scalars.pop("steps", None)
-    background = resolve(top.pop("background", None))
-    top_evidence = top.pop("evidence", None)
-    top_candidates = top.pop("candidates", None)
-
-    phase_cfgs: List[PhaseConfig] = []
-    if phases:
-        if top_evidence or top_candidates or top_steps is not None:
-            raise ConfigError(
-                "top-level steps/evidence/candidates clash with [phase] sections"
-            )
-        for i, ph in enumerate(phases, 1):
-            if "steps" not in ph:
-                raise ConfigError(f"[phase] {i} is missing steps")
-            try:
-                steps = int(ph.pop("steps"))
-            except ValueError:
-                raise ConfigError(f"[phase] {i}: bad steps value")
-            phase_cfgs.append(
-                PhaseConfig(
-                    steps=steps,
-                    evidence=resolve(ph.pop("evidence", None)),
-                    candidates=resolve(ph.pop("candidates", None)),
-                )
-            )
-            if ph:
-                raise ConfigError(f"[phase] {i}: unknown keys {sorted(ph)}")
-    else:
-        if top_steps is None:
-            raise ConfigError("scenario needs steps (or [phase] sections)")
-        phase_cfgs.append(
-            PhaseConfig(
-                steps=int(top_steps),
-                evidence=resolve(top_evidence),
-                candidates=resolve(top_candidates),
-            )
-        )
-
-    if top:
-        raise ConfigError(f"unknown scenario keys {sorted(top)}")
-
-    for phase in phase_cfgs:
-        if phase.steps < 0:
-            raise ConfigError("steps must be >= 0")
-    cfg = ScenarioConfig(
-        **_take(scalars, "seed", "arrival_p", "capacity"),
-        policy=policy,
-        coverage=coverage,
-        background=background,
-        phases=tuple(phase_cfgs),
-    )
-    if not 0.0 < cfg.arrival_p <= 1.0:
-        raise ConfigError("arrival_p must lie in (0, 1]")
-    if cfg.capacity < 0:
-        raise ConfigError("capacity must be >= 0 (0 means unbounded)")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return cfg
+_GRID_KEYS = ("scenario", "capacities", "fractions", "repetitions")
 
 
 def load_grid(path: str) -> GridConfig:
-    base_dir = os.path.dirname(os.path.abspath(path))
-    text = _read(path, "grid file")
-    keys: Dict[str, str] = {}
-    for section, key, value, line_no in _parse_kv_lines(text):
+    """Read a `.grid` file; a bad line raises ConfigError naming file and line.
+
+    Each capacity and fraction is checked once, as a cell of the base
+    scenario that keeps the base's other value."""
+    lines: Dict[str, Tuple[str, int]] = {}
+    for key, text, line_no in _config_lines(path, "grid file"):
         if key is None:
-            raise ConfigError(f"line {line_no}: grid files have no sections")
-        if key in keys:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        keys[key] = value
-    try:
-        scenario_path = keys.pop("scenario")
-    except KeyError:
-        raise ConfigError("grid file needs scenario = <path>")
-    if not os.path.isabs(scenario_path):
-        scenario_path = os.path.join(base_dir, scenario_path)
-    base = load_scenario(scenario_path)
-    try:
-        capacities = tuple(int(x) for x in keys.pop("capacities").split(","))
-        fractions = tuple(float(x) for x in keys.pop("fractions").split(","))
-        repetitions = int(keys.pop("repetitions"))
-    except KeyError as exc:
-        raise ConfigError(f"grid file is missing {exc}")
-    except ValueError:
-        raise ConfigError("bad grid list value")
-    if keys:
-        raise ConfigError(f"unknown grid keys {sorted(keys)}")
-    if not capacities or not fractions or repetitions <= 0:
-        raise ConfigError("grid lists must be non-empty")
-    if min(capacities) < 0:
-        raise ConfigError("capacities must be >= 0 (0 means unbounded)")
-    if not all(0.0 < f <= 1.0 for f in fractions):
-        raise ConfigError("fractions must lie in (0, 1]")
-    for key, values in (("capacities", capacities), ("fractions", fractions)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{key} repeats a value")
-    return GridConfig(
-        base=base,
-        capacities=capacities,
-        fractions=fractions,
-        repetitions=repetitions,
-        base_seed=base.seed,
-    )
+            raise _at(path, line_no, "grid files have no sections")
+        if key not in _GRID_KEYS:
+            raise _at(path, line_no, f"unknown grid key {key!r}")
+        if key in lines:
+            raise _at(path, line_no, f"duplicate key {key!r}")
+        lines[key] = text, line_no
+    missing = [key for key in _GRID_KEYS if key not in lines]
+    if missing:
+        raise ConfigError(f"{path}: grid file is missing {', '.join(missing)}")
+    base = load_scenario(os.path.join(os.path.dirname(os.path.abspath(path)), lines["scenario"][0]))
+    capacity, fraction = base.capacity, base.policy.forget_fraction
+    # A list value passes through the base cell it changes, which checks it.
+    cell_value = {
+        "capacities": lambda x: _cell_config(base, int(x), fraction).capacity,
+        "fractions": lambda x: _cell_config(base, capacity, float(x)).policy.forget_fraction,
+    }
+    grid = GridConfig(base, (capacity,), (fraction,), 1, base.seed)
+    for key in _GRID_KEYS[1:]:
+        text, line_no = lines[key]
+        try:
+            if key == "repetitions":
+                value = int(text)
+            else:
+                value = tuple(map(cell_value[key], text.split(",")))
+            grid = replace(grid, **{key: value})
+        except ValueError as exc:
+            raise _at(path, line_no, exc) from None
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -468,30 +433,25 @@ def derive_cell_seed(base_seed: int, capacity: int, fraction: float, rep: int) -
 
 
 def _grid_cells(
-    base: ScenarioConfig, cells: Sequence[Tuple[int, float, int]]
+    grid: GridConfig, cells: Sequence[Tuple[int, float, int]]
 ) -> List[Tuple[int, float, int, Optional[Tuple[str, ...]], str]]:
     """Run cells on the base scenario's inputs, loaded once, sharing one
     verdict store; unreadable input raises, a failing cell is recorded."""
-    classes = scenario_classes(base)
-    b0 = _load_pool(base.background, BACKGROUND)
-    pools = _phase_pools(base)
+    classes = scenario_classes(grid.base)
+    b0 = _load_pool(grid.base.background, BACKGROUND)
+    pools = _phase_pools(grid.base)
     verdicts = VerdictStore()
     results = []
     for cap, frac, rep in cells:
         try:
-            cfg = replace(
-                base, capacity=cap, policy=replace(base.policy, forget_fraction=frac)
-            )
+            cfg = _cell_config(grid.base, cap, frac)
             state = _new_state(cfg, classes, b0, verdicts)
-            _simulate(cfg, state, pools, derive_cell_seed(base.seed, cap, frac, rep))
+            _simulate(cfg, state, pools, derive_cell_seed(grid.base_seed, cap, frac, rep))
         except Exception as exc:  # recorded, grid continues
             results.append((cap, frac, rep, None, f"{type(exc).__name__}: {exc}"))
             continue
         consolidated = tuple(
-            sorted(
-                canonical_form(state.graph.nodes[nid])
-                for nid in state.consolidated_ids()
-            )
+            sorted(state.oracle.canon(state.graph.nodes[nid]) for nid in state.consolidated_ids())
         )
         results.append((cap, frac, rep, consolidated, ""))
     return results
@@ -518,10 +478,10 @@ def run_grid(
         results: List = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=n) as pool:
             chunks = [cells[i::n] for i in range(n)]
-            for i, part in enumerate(pool.map(_grid_cells, [grid.base] * n, chunks)):
+            for i, part in enumerate(pool.map(_grid_cells, [grid] * n, chunks)):
                 results[i::n] = part
     else:
-        results = _grid_cells(grid.base, cells)
+        results = _grid_cells(grid, cells)
     counts: Dict[Tuple[int, float, str], int] = {}
     failures: List[str] = []
     for cap, frac, rep, consolidated, error in results:

@@ -109,7 +109,6 @@ class KnowledgeState:
             )
             seed.append(rule)
             self._canonical[canonical_form(rule)] = rule.id
-        self.b0_ids = frozenset(r.id for r in seed)
         self.oracle = CoverageOracle(Background(seed), self.coverage, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None

@@ -46,17 +46,10 @@ def _support_row(graph: CoverageGraph, nid: int, classes, support) -> ClassVecto
     return row
 
 
-def compute_support(
-    graph: CoverageGraph,
-    classes: Sequence[str],
-    order: Optional[Sequence[int]] = None,
-) -> Dict[int, ClassVector]:
-    """Per-node, per-class conservative support, leaves first (over `order`,
-    the graph's topological order, when the caller already has it)."""
-    if order is None:
-        order = graph.topological_order()
+def compute_support(graph: CoverageGraph, classes: Sequence[str]) -> Dict[int, ClassVector]:
+    """Per-node, per-class conservative support, leaves first."""
     support: Dict[int, ClassVector] = {}
-    for nid in reversed(order):
+    for nid in reversed(graph.topological_order()):
         support[nid] = _support_row(graph, nid, classes, support)
     return support
 

@@ -36,6 +36,11 @@ INCREMENTAL_SCN = os.path.join(CHESS_DIR, "incremental.scn")
 GRID = os.path.join(CHESS_DIR, "grid.grid")
 
 
+def _line_of(text, key):
+    """1-based number of the line of `text` that sets `key`."""
+    return [line.split("=")[0].strip() for line in text.splitlines()].index(key) + 1
+
+
 class TestGeometricSampling:
     def test_p_one_always_one(self):
         rng = PCG64(0)
@@ -304,6 +309,26 @@ class TestGrid:
         assert not failures and rows
         assert rows == [(c, f, k, n) for (c, f, k), n in sorted(counts.items())]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_are_seeded_from_base_seed(self, jobs):
+        small = self.small_grid(40, capacities=(30,), fractions=(0.5,))
+        small = replace(small, repetitions=2, base_seed=small.base.seed + 1)
+        rows, failures = run_grid(small, jobs=jobs)
+
+        def expected(base_seed):
+            counts = {}
+            for cap, frac, rep in small.cells():
+                policy = replace(small.base.policy, forget_fraction=frac)
+                cfg = replace(small.base, capacity=cap, policy=policy)
+                _, state = run_scenario(cfg, seed=derive_cell_seed(base_seed, cap, frac, rep))
+                for nid in state.consolidated_ids():
+                    canon = canonical_form(state.graph.nodes[nid])
+                    counts[canon] = counts.get(canon, 0) + 1
+            return [(30, 0.5, canon, n) for canon, n in sorted(counts.items())]
+
+        assert not failures
+        assert rows == expected(small.base_seed) != expected(small.base.seed)
+
     def test_cell_failure_is_recorded_and_grid_continues(self):
         # A GridConfig built in code bypasses load_grid's range checks.
         small = self.small_grid(60, capacities=(30,), fractions=(1.5, 0.5))
@@ -412,7 +437,7 @@ class TestCli:
         grid = tmp_path / "neg.grid"
         grid.write_text(f"scenario = {scn}\ncapacities = 5\nfractions = 0.5\nrepetitions = 1\n")
         assert cli_main(["grid", str(grid), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert capsys.readouterr().err == f"error: {scn}: line 5: seed must be >= 0\n"
         assert not (tmp_path / "heatmap.csv").exists()
 
     def test_undeclared_consolidation_class_exits_1(self, tmp_path, capsys):
@@ -475,8 +500,53 @@ class TestCli:
         bad = tmp_path / "repeat.grid"
         bad.write_text(f"scenario = {CHESS_SCN}\n{lists}\nrepetitions = 1\n")
         assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: {key} repeats a value\n"
+        line = _line_of(bad.read_text(), key)
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: {key} repeats a value\n"
         assert not (tmp_path / "heatmap.csv").exists()
+
+    @pytest.mark.parametrize("repetitions", ["0", "-2"])
+    def test_grid_repetitions_below_one_exits_1(self, tmp_path, capsys, repetitions):
+        bad = tmp_path / "reps.grid"
+        bad.write_text(
+            f"scenario = {CHESS_SCN}\ncapacities = 20\nfractions = 0.5\n"
+            f"repetitions = {repetitions}\n"
+        )
+        assert cli_main(["grid", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 4: repetitions must be >= 1\n"
+        assert not (tmp_path / "heatmap.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            *(("scn", line) for line in (
+                "beta = 2", "forget_fraction = 0", "capacity = -1", "max_depth = 0",
+                "max_facts = -1", "max_term_depth = 0", "seed = -1", "capacity = x",
+                "arrival_p = 0", "rule_rule_coverage = foo", "theta_p_mode = fixed:",
+            )),
+            ("phase", "steps = -1"),
+            ("grid", "fractions = 0,1.5"),
+            ("grid", "capacities = -5"),
+        ],
+    )
+    def test_config_error_names_file_and_line(self, tmp_path, capsys, kind, line):
+        key = line.split(" =")[0]
+        if kind == "scn":
+            body = f"{FAMILY_POOLS}steps = 3\n{line}\n"
+        elif kind == "phase":
+            body = f"background = {FAMILY_KBR}\n[phase]\nevidence = {FAMILY_KBR}\n{line}\n"
+        else:
+            lists = ("capacities = 20", "fractions = 0.5", "repetitions = 1")
+            body = "\n".join([f"scenario = {CHESS_SCN}", line]
+                             + [other for other in lists if not other.startswith(key)]) + "\n"
+        bad = tmp_path / ("bad.grid" if kind == "grid" else "bad.scn")
+        bad.write_text(body)
+        command = "grid" if kind == "grid" else "run"
+        assert cli_main([command, str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line {_line_of(body, key)}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_grid_unreadable_pool_exits_1(self, tmp_path, capsys):
         scn = tmp_path / "gone.scn"

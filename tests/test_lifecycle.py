@@ -11,7 +11,7 @@ from covkb.lifecycle import (
 )
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
-from covkb.rules import CANDIDATE
+from covkb.rules import BACKGROUND, CANDIDATE
 
 from conftest import family_state
 
@@ -178,11 +178,13 @@ class TestPromoteDemote:
 
     def test_b0_untouchable(self, family):
         state, _ = family
+        b0 = {r.id for r in state.background.rules if r.origin == BACKGROUND}
         b0_before = {r.id for r in state.background.rules}
+        assert b0
         state.promote_pass()
         state.demote_pass()
-        assert state.b0_ids <= {r.id for r in state.background.rules}
-        assert not state.b0_ids & set(state.graph.nodes)
+        assert b0 <= {r.id for r in state.background.rules}
+        assert not b0 & set(state.graph.nodes)
         assert b0_before <= {r.id for r in state.background.rules} | set(
             state.consolidated_ids()
         )
@@ -278,10 +280,11 @@ class TestStep:
 
 def test_forgetting_never_removes_protected(family):
     state, ids = family
+    b0 = {r.id for r in state.background.rules}
     state.promote_pass()
     protected = set(state.consolidated_ids())
     assert protected
     for _ in range(8):
         state.forget_step()
     assert protected <= set(state.graph.nodes)
-    assert {r.id for r in state.background.rules} >= protected | state.b0_ids
+    assert {r.id for r in state.background.rules} >= protected | b0
