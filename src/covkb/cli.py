@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .harness import (
@@ -79,9 +80,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "run":
             cfg = load_scenario(args.scenario)
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            run_scenario(cfg, out_dir=args.out, seed=args.seed)
+            if args.seed is not None:
+                try:
+                    cfg = replace(cfg, seed=args.seed)
+                except ValueError as exc:
+                    raise ConfigError(f"--seed: {exc}") from None
+            run_scenario(cfg, out_dir=args.out)
             return 0
         if args.command == "grid":
             if args.jobs < 1:

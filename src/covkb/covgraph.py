@@ -48,7 +48,7 @@ def transitive_reduce(
     """
     ids = sorted(node_ids)
     index = {v: i for i, v in enumerate(ids)}
-    order = _topo_order(ids, edges)
+    order = _cone_order(ids, edges)
 
     # Strict-descendant bitmasks, built leaves-first.
     desc = {v: 0 for v in ids}
@@ -68,42 +68,29 @@ def transitive_reduce(
     return reduced
 
 
-def _topo_order(ids: Iterable[int], edges: Mapping[int, Set[int]]) -> List[int]:
-    """Kahn's walk, parents before children; GraphError on a cycle.
-
-    Any topological order serves: the reduction and support passes read
-    each node only after all its children, and their per-node sums run
-    over edge sets, not over this order.
-    """
-    indeg = dict.fromkeys(ids, 0)
-    for u in indeg:
-        for v in edges.get(u, ()):
-            indeg[v] += 1
-    order = [v for v, d in indeg.items() if d == 0]
-    for u in order:  # the list doubles as the queue; appends extend the loop
-        for v in edges.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(order) != len(indeg):
-        raise GraphError("cycle detected in coverage relation")
-    return order
-
-
 def _cone_order(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> List[int]:
     """`starts` and all they reach over `edges`, each node before every node
-    it reaches: the reverse postorder of one depth-first search.  Over a
-    cyclic relation the nodes are still exactly the reachable ones."""
-    seen: Set[int] = set()
+    it reaches: the reverse postorder of one depth-first search.
+
+    A node stays `active` while its descendants are walked, so an edge back
+    into it closes a cycle: GraphError.  A node missing from `edges` has no
+    children.
+    """
+    active: Set[int] = set()
+    done: Set[int] = set()
     post, stack = [], [(v, False) for v in starts]
     while stack:
-        v, done = stack.pop()
-        if done:
+        v, leaving = stack.pop()
+        if leaving:
+            active.discard(v)
+            done.add(v)
             post.append(v)
-        elif v not in seen:
-            seen.add(v)
+        elif v in active:
+            raise GraphError("cycle detected in coverage relation")
+        elif v not in done:
+            active.add(v)
             stack.append((v, True))
-            stack.extend((w, False) for w in edges[v] if w not in seen)
+            stack.extend((w, False) for w in edges.get(v, ()) if w not in done)
     post.reverse()
     return post
 
@@ -172,7 +159,7 @@ class CoverageGraph:
 
     def topological_order(self) -> List[int]:
         """Roots first; reverse it for a leaves-first sweep."""
-        return _topo_order(self.nodes, self.reduced)
+        return _cone_order(self.nodes, self.reduced)
 
     # -- mutation -----------------------------------------------------------
 
@@ -200,7 +187,7 @@ class CoverageGraph:
         # through the new node, among its ancestors: repair drops edges only
         # inside this cone, taken before it.
         cone = set(_cone_order(pairs_in | {rule.id}, self.parents))
-        self._repair_cycle(rule.id)
+        self._repair_cycle(rule.id, cone)
         self._refresh(cone)
 
     def replace_rule(self, rule: Rule) -> None:
@@ -284,7 +271,7 @@ class CoverageGraph:
         GraphError if the cone has a cycle.
         """
         full, desc, reduced, parents = self.full, self.desc, self.reduced, self.parents
-        order = _topo_order(cone, {u: full[u] & cone for u in cone})
+        order = _cone_order(cone, {u: full[u] & cone for u in cone})
         for u in reversed(order):
             children = full[u]
             redundant = 0
@@ -305,23 +292,24 @@ class CoverageGraph:
             self.touched.update(old ^ kept, (u,))
             reduced[u] = kept
 
-    def _repair_cycle(self, v: int) -> None:
-        """Break the mutual-coverage cycles through `v` deterministically.
+    def _repair_cycle(self, v: int, cone: Set[int]) -> None:
+        """Break the mutual-coverage cycles through the new node `v`.
 
         Mutual coverage means logical equivalence.  The cycles through v
-        form its strongly connected component: v plus those of its
-        descendants that reach v again.  Within it, nodes are ordered by
-        (length, id) and only forward edges of that order survive, so the
-        shortest rule plays the generalisation role.
+        form its strongly connected component: v plus each node that reaches
+        one of v's coverers (the insert's ancestor `cone`) and is reached
+        from one of its coverees (`desc`, still the masks from before v
+        arrived).  Within it, nodes are ordered by (length, id) and only
+        forward edges of that order survive, so the shortest rule plays the
+        generalisation role.
         """
-        below = _cone_order((v,), self.full)
-        if not any(v in self.full[u] for u in below):
-            return  # nothing below v leads back to it
-        preds: Dict[int, List[int]] = {u: [] for u in below}
-        for u in below:
-            for w in self.full[u]:
-                preds[w].append(u)
-        cycle = _cone_order((v,), preds)
+        below = 0
+        for c in self.full[v]:
+            below |= (1 << c) | self.desc[c]
+        cycle = [u for u in cone if (1 << u) & below]
+        if not cycle:
+            return
+        cycle.append(v)
         rank = {
             nid: pos
             for pos, nid in enumerate(sorted(cycle, key=lambda n: (self.lengths[n], n)))

@@ -42,7 +42,6 @@ from .rules import (
     BACKGROUND,
     CANDIDATE,
     EVIDENCE,
-    ORIGINS,
     Rule,
     canonical_form,  # noqa: F401  (unused here; perfbench/tracing.py wraps it)
     render_rule,
@@ -380,10 +379,15 @@ def run_scenario(
     out_dir: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> Tuple[List[StepLog], KnowledgeState]:
-    """Run the arrival simulation; optionally stream steps.csv as it goes."""
+    """Run the arrival simulation; optionally stream steps.csv as it goes.
+
+    `seed` overrides `cfg.seed` (ValueError if out of range).
+    """
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     state = build_state(cfg)
     pools = _phase_pools(cfg)
-    return _simulate(cfg, state, pools, cfg.seed if seed is None else seed, out_dir)
+    return _simulate(cfg, state, pools, cfg.seed, out_dir)
 
 
 def _simulate(
@@ -669,8 +673,10 @@ def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
         fields[key] = value
     if "id" not in fields:
         raise ValueError("missing id")
-    if fields.get("origin") not in ORIGINS:
-        raise ValueError(f"unknown origin {fields.get('origin')!r}")
+    if fields.get("origin") not in (EVIDENCE, CANDIDATE):
+        raise ValueError(f"origin must be evidence or candidate, not {fields.get('origin')!r}")
+    if fields.get("protected") == "1" and fields["origin"] != CANDIDATE:
+        raise ValueError("only a candidate can be protected")
     residuals: Dict[str, float] = {}
     for part in filter(None, fields.get("res", "").split(";")):
         label, colon, value = part.partition(":")

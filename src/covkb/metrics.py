@@ -47,11 +47,9 @@ def _support_row(graph: CoverageGraph, nid: int, classes, support) -> ClassVecto
 
 
 def compute_support(graph: CoverageGraph, classes: Sequence[str]) -> Dict[int, ClassVector]:
-    """Per-node, per-class conservative support, leaves first."""
-    support: Dict[int, ClassVector] = {}
-    for nid in reversed(graph.topological_order()):
-        support[nid] = _support_row(graph, nid, classes, support)
-    return support
+    """Per-node, per-class conservative support: a fresh table's, which
+    does not depend on beta."""
+    return compute_table(graph, 0.0, classes).support
 
 
 def conservation_check(

@@ -16,8 +16,6 @@ EVIDENCE = "evidence"
 CANDIDATE = "candidate"
 BACKGROUND = "background"
 
-ORIGINS = (EVIDENCE, CANDIDATE, BACKGROUND)
-
 
 @dataclass(frozen=True)
 class Var:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from covkb.covgraph import (
     CoverageGraph,
     GraphError,
-    _topo_order,
+    _cone_order,
     transitive_reduce,
 )
 from covkb.deduce import (
@@ -86,6 +86,48 @@ class TestTransitiveReduce:
             got = transitive_reduce(ids, edges)
             want = reduce_by_edge_removal(ids, edges)
             assert got == want
+
+
+class TestConeOrder:
+    """`_cone_order`: every reachable node once, each before all it reaches."""
+
+    @staticmethod
+    def assert_order(starts, edges):
+        order = _cone_order(starts, edges)
+        reach = closure(list(starts), edges)
+        assert sorted(order) == sorted(set(starts).union(*reach.values()))
+        pos = {v: i for i, v in enumerate(order)}
+        assert all(pos[u] < pos[w] for u in pos for w in edges.get(u, ()))
+
+    def test_diamond_shared_descendant_is_no_cycle(self):
+        # 4 is reached twice, once after its walk is done
+        edges = {1: {2, 3}, 2: {4}, 3: {4}, 4: set()}
+        for starts in itertools.permutations([1, 2, 3, 4]):
+            self.assert_order(starts, edges)
+        self.assert_order([1], edges)
+
+    def test_child_reached_again_before_it_is_walked(self):
+        # 1 queues 2, then reaches it through 3 first
+        self.assert_order([1], {1: {2, 3}, 3: {2}})
+
+    def test_random_dags(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            edges = {i: {j for j in range(i + 1, n) if rng.random() < 0.35} for i in range(n)}
+            self.assert_order(rng.sample(range(n), rng.randint(1, n)), edges)
+
+    @pytest.mark.parametrize(
+        "starts, edges",
+        [
+            ([1], {1: {2}, 2: {3}, 3: {2}}),  # reachable cycle not through the start
+            ([1], {1: {1}}),  # self-loop
+            ([1, 4], {1: {2}, 2: {1}, 4: set()}),  # cycle met after another start is done
+        ],
+    )
+    def test_cycle_raises(self, starts, edges):
+        with pytest.raises(GraphError, match="cycle"):
+            _cone_order(starts, edges)
 
 
 def closure(ids, edges):
@@ -477,7 +519,7 @@ class TestMutationInvariants:
                 assert g.touched == touched
 
             ids = sorted(g.nodes)
-            assert sorted(_topo_order(ids, g.full)) == ids  # GraphError on a cycle
+            assert sorted(_cone_order(ids, g.full)) == ids  # GraphError on a cycle
             assert_structure_exact(g)
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
             # local cycle repair leaves the relation a global pass would

@@ -143,6 +143,12 @@ class TestRunScenario:
             l.arrivals_rules for l in a
         ] != [l.arrivals_rules for l in b]
 
+    def test_negative_seed_override_raises(self, tmp_path):
+        cfg = load_scenario(FAMILY_SCN)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_scenario(cfg, out_dir=str(tmp_path), seed=-1)
+        assert not (tmp_path / "steps.csv").exists()
+
     def test_header_contract(self):
         head = step_csv_header(("+", "-"))
         assert head == [
@@ -229,6 +235,8 @@ class TestSnapshot:
             "#node id=1 origin=candidate res=+",
             "#node id=1 origin=candidate res=+:lots",
             "#node id=1 origin=alien",
+            "#node id=1 origin=background",
+            "#node id=1 origin=evidence class=+ protected=1",
             "#node id=1 origin=candidate length=long",
             "#node id=1 origin=candidate length=nan",
             "#node id=1 origin=candidate length=-3",
@@ -423,7 +431,7 @@ class TestCli:
 
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", FAMILY_SCN, "--seed", "-1", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert capsys.readouterr().err == "error: --seed: seed must be >= 0\n"
         assert not (tmp_path / "steps.csv").exists()
 
     def test_grid_jobs_below_one_exits_1(self, tmp_path, capsys):
