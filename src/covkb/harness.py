@@ -623,11 +623,12 @@ def export_dot(
 
 
 # ---------------------------------------------------------------------------
-# state snapshots
+# state snapshot
 
 
 def write_snapshot(state: KnowledgeState, path: str) -> None:
-    """Serialize graph nodes (rendered rules, flags, residuals) to text."""
+    """Record the final graph nodes (rendered rules, flags, residuals) as
+    text: an output only, with no RNG state or step counter to resume from."""
     lines = ["#snapshot 1", "#classes " + " ".join(state.classes)]
     for nid in sorted(state.graph.nodes):
         rule = state.graph.nodes[nid]
@@ -647,130 +648,3 @@ def write_snapshot(state: KnowledgeState, path: str) -> None:
         lines.append(render_rule(rule))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class Snapshot:
-    classes: Tuple[str, ...]
-    rules: List[Rule]                      # snapshot ids preserved
-    residuals: Dict[int, Dict[str, float]]
-
-
-def _amount(text: str, what: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{what} must be finite and >= 0")
-    return value
-
-
-def _node_header(line: str) -> Tuple[Dict[str, object], Dict[str, float]]:
-    """Rule fields and residuals of a `#node` line; ValueError if malformed."""
-    fields: Dict[str, str] = {}
-    for part in line.split()[1:]:
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"{part!r} is not key=value")
-        fields[key] = value
-    if "id" not in fields:
-        raise ValueError("missing id")
-    if fields.get("origin") not in (EVIDENCE, CANDIDATE):
-        raise ValueError(f"origin must be evidence or candidate, not {fields.get('origin')!r}")
-    if fields.get("protected") == "1" and fields["origin"] != CANDIDATE:
-        raise ValueError("only a candidate can be protected")
-    residuals: Dict[str, float] = {}
-    for part in filter(None, fields.get("res", "").split(";")):
-        label, colon, value = part.partition(":")
-        if not colon:
-            raise ValueError(f"residual {part!r} is not class:value")
-        residuals[label] = _amount(value, "residual")
-    return dict(
-        id=int(fields["id"]),
-        origin=fields["origin"],
-        protected=fields.get("protected") == "1",
-        class_label=fields.get("class"),
-        length_override=_amount(fields["length"], "length") if "length" in fields else None,
-    ), residuals
-
-
-def load_snapshot(path: str) -> Snapshot:
-    lines = _read(path, "snapshot").splitlines()
-    if not lines or not lines[0].startswith("#snapshot"):
-        raise ConfigError("not a snapshot file")
-    classes: Tuple[str, ...] = ()
-    rules: List[Rule] = []
-    residuals: Dict[int, Dict[str, float]] = {}
-    pending: Optional[Tuple[Dict[str, object], Dict[str, float]]] = None
-    pending_line = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("#classes"):
-            classes = tuple(line.split()[1:])
-            continue
-        if line.startswith("#node"):
-            if pending is not None:
-                raise ConfigError(
-                    f"line {line_no}: #node header follows the one on line "
-                    f"{pending_line}, which has no clause"
-                )
-            pending_line = line_no
-            try:
-                fields, res = pending = _node_header(line)
-                unknown = {fields["class_label"], *res} - {None, *classes}
-                if unknown:
-                    raise ValueError(f"classes {sorted(unknown)} are not in #classes")
-                if fields["id"] in residuals:
-                    raise ValueError(f"id {fields['id']} repeats")
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: bad #node header: {exc}") from None
-            continue
-        if pending is None:
-            raise ConfigError(f"line {line_no}: clause without #node header: {line!r}")
-        try:
-            parsed = parse_program(line)
-        except ParseError as exc:
-            col = f", col {exc.col}" if exc.line else ""
-            raise ConfigError(f"line {line_no}{col}: {exc.reason}") from None
-        if len(parsed) != 1:
-            raise ConfigError(f"line {line_no}: expected one clause, got {len(parsed)}")
-        fields, res = pending
-        rule = replace(parsed[0], **fields)
-        rules.append(rule)
-        residuals[rule.id] = res
-        pending = None
-    if pending is not None:
-        raise ConfigError(f"line {pending_line}: #node header has no clause before the end")
-    return Snapshot(classes=classes, rules=rules, residuals=residuals)
-
-
-def restore_state(snapshot: Snapshot, cfg: ScenarioConfig) -> KnowledgeState:
-    """Rebuild a knowledge state from a snapshot.
-
-    Protected rules are ingested and promoted first so that the remaining
-    rules' coverage is computed against the full consolidated background;
-    edges themselves are recomputed, not replayed.
-    """
-    state = build_state(cfg)
-    if snapshot.classes != state.classes:
-        raise ConfigError(f"snapshot classes {snapshot.classes} are not {state.classes}")
-    protected = [r for r in snapshot.rules if r.protected]
-    rest = [r for r in snapshot.rules if not r.protected]
-    id_map: Dict[int, int] = {}
-
-    def ingest_batch(batch: List[Rule]) -> None:
-        for rule in batch:
-            new_ids = state.ingest([rule])
-            if new_ids:
-                id_map[rule.id] = new_ids[0]
-
-    ingest_batch(protected)
-    state.set_protection([id_map[old.id] for old in protected], True)
-    ingest_batch(rest)
-    for old_id, res in snapshot.residuals.items():
-        nid = id_map.get(old_id)
-        if nid is None:
-            continue
-        for c, v in res.items():
-            state.graph.set_residual(nid, c, v)
-    state.ensure_metrics()
-    return state

@@ -173,6 +173,7 @@ def parse_program(text: str) -> List[Rule]:
     section = CANDIDATE
     section_class: Optional[str] = None
     pending_length: Optional[float] = None
+    length_line = 0
     classes: Optional[set] = None
     pred_arity: dict = {}
     tokens: List[_Token] = []
@@ -238,8 +239,12 @@ def parse_program(text: str) -> List[Rule]:
                     raise ParseError("#classes needs at least one token", line_no, 1)
                 classes = set(args) if classes is None else classes | set(args)
             elif name == "length":
+                if pending_length is not None:
+                    raise ParseError(f"#length directive follows the one on line "
+                                     f"{length_line}, which has no clause", line_no, 1)
                 if len(args) != 1:
                     raise ParseError("#length takes one decimal", line_no, 1)
+                length_line = line_no
                 try:
                     pending_length = float(args[0])
                 except ValueError:
@@ -257,7 +262,7 @@ def parse_program(text: str) -> List[Rule]:
         last = tokens[-1]
         raise ParseError("unterminated clause at end of input", last.line, last.col)
     if pending_length is not None:
-        raise ParseError("#length directive with no following clause")
+        raise ParseError("#length directive with no following clause", length_line, 1)
     return rules
 
 

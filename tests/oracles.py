@@ -1,9 +1,10 @@
 """Test-only reference oracles, independent of the library's fast paths."""
 
 import itertools
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from covkb.covgraph import CoverageGraph
+from covkb.covgraph import CoverageGraph, transitive_reduce
 from covkb.deduce import (
     Background, DeriveLimits, FactStore, LimitExceeded, apply_subst_atom, forward_closure,
     match_atom, unify_atoms,
@@ -94,6 +95,30 @@ def reference_full(rules: Iterable[Rule], oracle) -> Dict[int, Set[int]]:
         u: {w for w in targets if rank[u] < rank[w] or not reaches(w, u)}
         for u, targets in pairwise.items()
     }
+
+
+def closure(ids, edges):
+    """Each start's set of nodes reached over `edges` in one or more steps."""
+    out = {}
+    for start in ids:
+        seen, queue = set(), deque(edges.get(start, ()))
+        while queue:
+            x = queue.popleft()
+            if x in seen:
+                continue
+            seen.add(x)
+            queue.extend(edges.get(x, ()))
+        out[start] = seen
+    return out
+
+
+def assert_structure_exact(g):
+    """reduced, parents and descendant masks equal a from-scratch pass."""
+    ids = sorted(g.nodes)
+    assert g.reduced == transitive_reduce(ids, g.full)
+    assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
+    reach = closure(ids, g.full)
+    assert g.desc == {v: sum(1 << w for w in reach[v]) for v in ids}
 
 
 class SizeCapExceeded(Exception):

@@ -28,7 +28,14 @@ from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
 from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, rule_length
-from oracles import _EdgeListOracle, graph_from_structure, node_rule, reference_full
+from oracles import (
+    _EdgeListOracle,
+    assert_structure_exact,
+    closure,
+    graph_from_structure,
+    node_rule,
+    reference_full,
+)
 
 
 def reduce_by_edge_removal(ids, edges):
@@ -128,29 +135,6 @@ class TestConeOrder:
     def test_cycle_raises(self, starts, edges):
         with pytest.raises(GraphError, match="cycle"):
             _cone_order(starts, edges)
-
-
-def closure(ids, edges):
-    out = {}
-    for start in ids:
-        seen, queue = set(), deque(edges.get(start, ()))
-        while queue:
-            x = queue.popleft()
-            if x in seen:
-                continue
-            seen.add(x)
-            queue.extend(edges.get(x, ()))
-        out[start] = seen
-    return out
-
-
-def assert_structure_exact(g):
-    """reduced, parents and descendant masks equal a from-scratch pass."""
-    ids = sorted(g.nodes)
-    assert g.reduced == transitive_reduce(ids, g.full)
-    assert g.parents == {v: {u for u in ids if v in g.reduced[u]} for v in ids}
-    reach = closure(ids, g.full)
-    assert g.desc == {v: sum(1 << w for w in reach[v]) for v in ids}
 
 
 class TestFamilyGraph:

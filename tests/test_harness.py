@@ -12,14 +12,11 @@ from covkb.harness import (
     export_dot,
     load_grid,
     load_scenario,
-    load_snapshot,
     metrics_csv_text,
-    restore_state,
     run_grid,
     run_scenario,
     sample_geometric,
     step_csv_header,
-    write_snapshot,
 )
 from covkb.metrics import compute_table
 from covkb.rng import PCG64
@@ -187,98 +184,6 @@ class TestExports:
         lines = text.strip().split("\n")
         assert lines[0].split(",")[:3] == ["id", "class", "L"]
         assert len(lines) == 13  # header + 12 nodes
-
-
-# A snapshot that ends right after a #node header, with no clause for it.
-HEADER_AT_END = "#node id=1 origin=candidate\np(b).\n#node id=2 origin=candidate"
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        cfg = load_scenario(CHESS_SCN)
-        cfg = replace(cfg, phases=(replace(cfg.phases[0], steps=40),))
-        _, state = run_scenario(cfg, seed=5)
-        path = tmp_path / "state.snapshot"
-        write_snapshot(state, str(path))
-        snap = load_snapshot(str(path))
-        assert snap.classes == state.classes
-        assert len(snap.rules) == state.population()
-        by_id = {r.id: r for r in snap.rules}
-        for nid, rule in state.graph.nodes.items():
-            assert by_id[nid].protected == rule.protected
-            assert by_id[nid].class_label == rule.class_label
-        restored = restore_state(snap, cfg)
-        assert restored.population() == state.population()
-        assert len(restored.consolidated_ids()) == len(state.consolidated_ids())
-        # Restoring assigns fresh ids; canonical forms pair the nodes up.
-        key_of = {nid: canonical_form(r) for nid, r in state.graph.nodes.items()}
-        by_key = {canonical_form(r): nid for nid, r in restored.graph.nodes.items()}
-        to_new = {nid: by_key[key] for nid, key in key_of.items()}
-        for edges in ("full", "reduced"):
-            old_edges, new_edges = getattr(state.graph, edges), getattr(restored.graph, edges)
-            for nid, targets in old_edges.items():
-                assert {to_new[v] for v in targets} == new_edges[to_new[nid]]
-        old_table, new_table = state.ensure_metrics(), restored.ensure_metrics()
-        for nid, new_id in to_new.items():
-            assert restored.graph.residuals[new_id] == state.graph.residuals[nid]
-            for field in ("support", "opt", "perm", "perm_generic"):
-                assert getattr(new_table, field)[new_id] == pytest.approx(
-                    getattr(old_table, field)[nid]
-                )
-
-    @pytest.mark.parametrize(
-        "header",
-        [
-            "#node origin=candidate",
-            "#node id=x origin=candidate",
-            "#node id=1 origin=candidate stray",
-            "#node id=1 origin=candidate res=+",
-            "#node id=1 origin=candidate res=+:lots",
-            "#node id=1 origin=alien",
-            "#node id=1 origin=background",
-            "#node id=1 origin=evidence class=+ protected=1",
-            "#node id=1 origin=candidate length=long",
-            "#node id=1 origin=candidate length=nan",
-            "#node id=1 origin=candidate length=-3",
-            "#node id=1 origin=candidate res=+:-1.0",
-            "#node id=1 origin=candidate res=+:nan",
-            "#node id=1 origin=candidate res=+:inf",
-            "#node id=1 origin=candidate res=zz:1.0",
-            "#node id=1 origin=candidate class=zz",
-            "#node id=1 origin=candidate\np(b).\n#node id=1 origin=candidate",
-            "#node id=1 origin=evidence class=+\n#node id=2 origin=candidate",
-            "p(b).",
-            "#node id=1 origin=candidate\np(b). p(c).",
-            HEADER_AT_END,
-        ],
-    )
-    def test_malformed_node_header(self, tmp_path, header):
-        path = tmp_path / "bad.snapshot"
-        clause = "" if header == HEADER_AT_END else "p(a).\n"
-        path.write_text(f"#snapshot 1\n#classes + -\n{header}\n{clause}")
-        # the last line of `header` is the bad one
-        with pytest.raises(ConfigError, match=f"line {3 + header.count(chr(10))}:"):
-            load_snapshot(str(path))
-
-    def test_clause_syntax_error_gives_its_line_in_the_file(self, tmp_path):
-        path = tmp_path / "bad.snapshot"
-        path.write_text("#snapshot 1\n#classes + -\n#node id=1 origin=candidate\np(a) :- .\n")
-        with pytest.raises(ConfigError, match=r"^line 4, col 9: expected a predicate name"):
-            load_snapshot(str(path))
-
-    def test_restore_rejects_other_classes(self, tmp_path):
-        cfg = load_scenario(CHESS_SCN)
-        path = tmp_path / "state.snapshot"
-        path.write_text("#snapshot 1\n#classes + - x\n")
-        with pytest.raises(ConfigError, match="classes"):
-            restore_state(load_snapshot(str(path)), cfg)
-
-    def test_non_utf8_snapshot(self, tmp_path):
-        path = tmp_path / "latin1.snapshot"
-        path.write_bytes("#snapshot 1\n#node id=1 origin=candidate\np(jos\xe9).\n".encode("latin-1"))
-        with pytest.raises(ConfigError, match="not UTF-8") as err:
-            load_snapshot(str(path))
-        assert str(path) in str(err.value)
 
 
 class TestGrid:

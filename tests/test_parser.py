@@ -108,8 +108,15 @@ class TestErrors:
             parse_program("p(a) :- q(a),\n#length 3\nr(a).")
 
     def test_dangling_length(self):
-        with pytest.raises(ParseError, match="no following clause"):
+        with pytest.raises(ParseError, match="^line 2, col 1: .* no following clause") as err:
             parse_program("f(a).\n#length 3\n")
+        assert (err.value.line, err.value.col) == (2, 1)
+
+    def test_length_followed_by_length(self):
+        # a second #length must not silently replace the first
+        with pytest.raises(ParseError, match="follows the one on line 2, which has no") as err:
+            parse_program("f(a).\n#length 3\n#length 4\nq(b).")
+        assert (err.value.line, err.value.col) == (3, 1)
 
     def test_bad_length_value(self):
         with pytest.raises(ParseError, match="bad length"):

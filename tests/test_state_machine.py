@@ -2,7 +2,8 @@
 
 Ingest, steps, forget batches, promotion, demotion and beta changes run in
 any order; promotions and demotions change the oracle's background.  After
-every rule the cached metrics must equal a fresh pass and support must be
+every rule the graph must be acyclic with its reduction and parent sets
+exact, the cached metrics must equal a fresh pass and support must be
 conserved.
 """
 
@@ -20,6 +21,7 @@ from covkb.parser import parse_program
 from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE
 
 from conftest import CHESS_DIR
+from oracles import assert_structure_exact
 
 
 def _pool(name, origin):
@@ -72,6 +74,11 @@ class LifecycleMachine(RuleBasedStateMachine):
     @rule(beta=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
     def set_beta(self, beta):
         self.state.policy = replace(self.state.policy, beta=beta)
+
+    @invariant()
+    def structure_is_exact(self):
+        self.state.graph.topological_order()  # GraphError on a cycle
+        assert_structure_exact(self.state.graph)
 
     @invariant()
     def metrics_match_a_fresh_pass(self):
