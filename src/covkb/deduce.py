@@ -13,20 +13,24 @@ Two coverage semantics are provided.
   Requiring the general clause to fire keeps the relation meaningful when
   the background alone already entails the head.
 
-Forward chaining tolerates non-range-restricted clauses by storing
-non-ground derived atoms (an unbound head variable stands for "any term").
-Facts are keyed by structure, never by their text: a ground fact by the
-atom itself, any other by its canonical renaming.  Rounds are semi-naive:
-a clause is joined once per body position k whose predicate gained facts
-in the last round; position k reads only those facts and earlier positions
-skip them, so each join that uses a new fact is made exactly once.  All
-searches are bounded by `DeriveLimits`.
+Forward chaining runs on flat tuples (see "flat terms" below), converted
+from Atoms where clauses, facts and goals enter `extend_closure`,
+`general_fires` and a raw background store.  It tolerates
+non-range-restricted clauses by storing open (non-ground) derived facts:
+an unbound head variable stands for "any term".  A fact is keyed by its
+shape (ground subterms blanked, variables numbered) and ground parts, so
+a ground subgoal is one lookup per shape of its predicate.  Rounds are
+semi-naive: a clause is joined once per body position k whose predicate
+gained facts in the last round; position k reads only those facts and
+earlier positions skip them, so each join that uses a new fact is made
+exactly once.  All searches are bounded by `DeriveLimits`.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count, product, repeat
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Set, Tuple,
@@ -40,9 +44,7 @@ from .rules import (
     Term,
     Var,
     canonical_form,
-    canonical_var,
     rename_atom,
-    term_depth,
 )
 
 SUBSUMPTION = "subsumption"
@@ -115,69 +117,7 @@ class Background:
 
 
 # ---------------------------------------------------------------------------
-# substitutions
-
-
-def walk(term: Term, subst: Dict[str, Term]) -> Term:
-    while isinstance(term, Var) and term.name in subst:
-        term = subst[term.name]
-    return term
-
-
-def apply_subst(term: Term, subst: Dict[str, Term]) -> Term:
-    term = walk(term, subst)
-    if isinstance(term, Var) or not term.args:
-        return term
-    return Compound(term.functor, tuple(apply_subst(a, subst) for a in term.args))
-
-
-def apply_subst_atom(atom: Atom, subst: Dict[str, Term]) -> Atom:
-    return Atom(atom.pred, tuple(apply_subst(a, subst) for a in atom.args))
-
-
-def is_ground(term: Term) -> bool:
-    if isinstance(term, Var):
-        return False
-    return all(is_ground(a) for a in term.args)
-
-
-def _occurs(name: str, term: Term, subst: Dict[str, Term]) -> bool:
-    term = walk(term, subst)
-    if isinstance(term, Var):
-        return term.name == name
-    return any(_occurs(name, a, subst) for a in term.args)
-
-
-def unify(a: Term, b: Term, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
-    """Most general unifier extending `subst`, or None."""
-    a, b = walk(a, subst), walk(b, subst)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and a.name == b.name:
-            return subst
-        if _occurs(a.name, b, subst):
-            return None
-        out = dict(subst)
-        out[a.name] = b
-        return out
-    if isinstance(b, Var):
-        return unify(b, a, subst)
-    if a.functor != b.functor or len(a.args) != len(b.args):
-        return None
-    for x, y in zip(a.args, b.args):
-        subst = unify(x, y, subst)
-        if subst is None:
-            return None
-    return subst
-
-
-def unify_atoms(a: Atom, b: Atom, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
-    if a.pred != b.pred or a.arity != b.arity:
-        return None
-    for x, y in zip(a.args, b.args):
-        subst = unify(x, y, subst)
-        if subst is None:
-            return None
-    return subst
+# Atom-level matching and theta-subsumption
 
 
 def match(pattern: Term, target: Term, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
@@ -229,16 +169,12 @@ def head_forms(atom: Atom) -> Tuple[Tuple, ...]:
         (None,) if isinstance(a, Var) else ((a.functor, len(a.args)), None)
         for a in atom.args[:KEY_POSITIONS]
     ]
-    return tuple((atom.pred, atom.arity, *s) for s in itertools.product(*shapes))
+    return tuple((atom.pred, atom.arity, *s) for s in product(*shapes))
 
 
 def heads_may_match(general: Atom, specific: Atom) -> bool:
     """False only when `match_atom(general, specific, {})` fails."""
     return head_forms(general)[0] in head_forms(specific)
-
-
-# ---------------------------------------------------------------------------
-# theta-subsumption
 
 
 def theta_subsumes(general: Rule, specific: Rule) -> bool:
@@ -263,113 +199,244 @@ def theta_subsumes(general: Rule, specific: Rule) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# flat terms: constant = name, compound = (functor, *args), atom = (pred, *args), variable = Var
+
+
+def _flat_term(term: Term):
+    if isinstance(term, Var):
+        return term
+    return (term.functor, *map(_flat_term, term.args)) if term.args else term.functor
+
+
+def flat_atom(atom: Atom) -> tuple:
+    return (atom.pred, *map(_flat_term, atom.args))
+
+
+def _flat_clause(rule: Rule) -> Tuple[tuple, Tuple[tuple, ...]]:
+    return flat_atom(rule.head), tuple(map(flat_atom, rule.body))
+
+
+def _key(fact: tuple) -> Tuple[str, int]:
+    return fact[0], len(fact) - 1
+
+
+def _ground(t) -> bool:
+    if type(t) is not tuple:
+        return type(t) is str
+    for a in t:
+        if type(a) is not str and not _ground(a):
+            return False
+    return True
+
+
+def _depth(t: tuple) -> int:
+    """Nesting depth of a compound, or of an atom's arguments plus one."""
+    deepest = 1
+    for a in t:
+        if type(a) is tuple:
+            deepest = max(deepest, _depth(a))
+    return deepest + 1
+
+
+def _walk(t, subst: dict):
+    while type(t) is Var and t.name in subst:
+        t = subst[t.name]
+    return t
+
+
+def _resolve(t, subst: dict):
+    """`t` with each bound variable replaced by its binding, recursively."""
+    t = _walk(t, subst)
+    if type(t) is tuple:
+        return tuple([a if type(a) is str else _resolve(a, subst) for a in t])
+    return t
+
+
+def _rename(t, names: dict, fresh: Callable[[], Var]):
+    """`t` with each variable replaced through `names`, a new one by `fresh()`."""
+    if type(t) is tuple:
+        return tuple([a if type(a) is str else _rename(a, names, fresh) for a in t])
+    return names[t.name] if t.name in names else names.setdefault(t.name, fresh())
+
+
+def _match(pattern, target, subst: dict) -> bool:
+    """One-way match binding `pattern`'s free variables in `subst`, in place."""
+    if type(pattern) is tuple:
+        return (type(target) is tuple and len(pattern) == len(target)
+                and all(map(_match, pattern, target, repeat(subst))))
+    if type(pattern) is str:
+        return pattern == target
+    return subst.setdefault(pattern.name, target) == target
+
+
+def _occurs(name: str, t, subst: dict) -> bool:
+    t = _walk(t, subst)
+    if type(t) is tuple:
+        return any(map(_occurs, repeat(name), t, repeat(subst)))
+    return type(t) is Var and t.name == name
+
+
+def _unify(a, b, subst: dict) -> bool:
+    """Extend `subst`, in place, to a most general unifier of `a` and `b`."""
+    a, b = _walk(a, subst), _walk(b, subst)
+    if type(a) is not Var and type(b) is Var:
+        a, b = b, a
+    if type(a) is Var:
+        if type(b) is Var and a.name == b.name:
+            return True
+        if _occurs(a.name, b, subst):
+            return False
+        subst[a.name] = b
+        return True
+    if type(a) is str or type(b) is str:
+        return a == b
+    return len(a) == len(b) and all(map(_unify, a, b, repeat(subst)))
+
+
+def _shape(t, parts: list, names: dict):
+    """`t`'s variable pattern: each variable becomes its first-occurrence
+    number, and each maximal ground subterm None, appended to `parts`."""
+    if _ground(t):
+        parts.append(t)
+    elif type(t) is tuple:
+        return tuple([_shape(a, parts, names) for a in t])
+    else:
+        return names.setdefault(t.name, len(names))
+
+
+def _project(shape, t, parts: list, binds: list) -> bool:
+    """Whether ground `t` is an instance of `shape`; appends the subterms of
+    `t` at the shape's ground places to `parts`, as `_shape` would."""
+    if shape is None:
+        parts.append(t)
+    elif type(shape) is int:
+        if shape < len(binds):
+            return binds[shape] == t
+        binds.append(t)
+    else:
+        return (type(t) is tuple and len(t) == len(shape)
+                and all(map(_project, shape, t, repeat(parts), repeat(binds))))
+    return True
+
+
+# ---------------------------------------------------------------------------
 # forward chaining
 
 
 class FactStore:
-    """Derived facts indexed by predicate and by ground argument positions.
+    """Derived flat facts, indexed by predicate and ground argument values.
 
-    A fact is keyed by structure: a ground one by the atom itself, any other
-    by its canonical renaming, so `add` refuses a variant of a stored fact.
-    A fact with a variable in some position lands in that position's
-    wildcard bucket (None) so indexed lookups stay complete; `open` holds
-    the ids of the facts with a variable, the only ones a join renames.
+    A fact is keyed by its shape (`_shape`) and ground parts, which fix it
+    up to renaming, so `add` refuses a variant of a stored fact; a ground
+    fact's shape is None and its one part is itself.  An argument with a
+    variable lands in its position's wildcard bucket (None) so indexed
+    lookups stay complete; `open` holds the ids of the facts with a
+    variable, the only ones a join renames.
     """
 
     def __init__(self):
-        self.by_pred: Dict[Tuple[str, int], List[Atom]] = {}
-        self._index: Dict[Tuple[str, int], List[Dict[Optional[Term], List[Atom]]]] = {}
-        self.seen: Set[Atom] = set()
+        self.by_pred: Dict[Tuple[str, int], List[tuple]] = {}
+        self._index: Dict[Tuple[str, int], List[Dict[object, List[tuple]]]] = {}
+        self._shapes: Dict[Tuple[str, int], Dict[Optional[tuple], Dict[tuple, tuple]]] = {}
         self.open: Set[int] = set()
         self.count = 0
 
-    def add(self, atom: Atom) -> bool:
-        flags = [is_ground(arg) for arg in atom.args]
-        ground = all(flags)
-        self.seen.add(atom if ground else rename_atom(atom, {}, canonical_var))
-        if len(self.seen) == self.count:
+    def add(self, fact: tuple) -> bool:
+        pkey, parts = _key(fact), []
+        shape = _shape(fact, parts, {})
+        facts, key = self._shapes.setdefault(pkey, {}).setdefault(shape, {}), tuple(parts)
+        if key in facts:
             return False
-        if not ground:
-            self.open.add(id(atom))
-        pkey = (atom.pred, len(atom.args))
-        self.by_pred.setdefault(pkey, []).append(atom)
-        slots = self._index.setdefault(pkey, [dict() for _ in atom.args])
-        for slot, arg, flag in zip(slots, atom.args, flags):
-            slot.setdefault(arg if flag else None, []).append(atom)
+        facts[key] = fact
+        if shape is not None:
+            self.open.add(id(fact))
+        self.by_pred.setdefault(pkey, []).append(fact)
+        slots = self._index.get(pkey) or self._index.setdefault(
+            pkey, [defaultdict(list) for _ in fact[1:]])
+        for slot, arg in zip(slots, fact[1:]):
+            slot[arg if shape is None or _ground(arg) else None].append(fact)
         self.count += 1
         return True
 
-    def candidates(self, pattern: Atom) -> List[Atom]:
+    def candidates(self, pattern: tuple) -> Sequence[tuple]:
         """Facts that could unify with `pattern` (complete, maybe loose)."""
-        pkey = (pattern.pred, len(pattern.args))
-        base = self.by_pred.get(pkey, [])
-        if len(base) <= 8:
-            return base
-        best = base
-        for slot, arg in zip(self._index[pkey], pattern.args):
-            if not is_ground(arg):
-                continue
-            exact = slot.get(arg, ())
-            wild = slot.get(None, ())
-            if len(exact) + len(wild) < len(best):
-                best = list(exact) + list(wild)
+        pkey = _key(pattern)
+        best = self.by_pred.get(pkey, [])
+        if len(best) <= 8:
+            return best
+        for slot, arg in zip(self._index[pkey], pattern[1:]):
+            if _ground(arg):
+                exact, wild = slot.get(arg, []), slot.get(None, [])
+                if len(exact) + len(wild) < len(best):
+                    best = exact + wild if wild else exact
         return best
 
+    def generalisations(self, goal: tuple) -> List[tuple]:
+        """The stored facts that ground `goal` is an instance of: per shape
+        that `goal` fits, the one fact with its ground parts."""
+        found = []
+        for shape, facts in self._shapes.get(_key(goal), {}).items():
+            parts: list = []
+            if _project(shape, goal, parts, []) and tuple(parts) in facts:
+                found.append(facts[tuple(parts)])
+        return found
 
-Delta = Dict[Tuple[str, int], Dict[int, Atom]]  # last round's new facts by predicate, by id
+
+Delta = Dict[Tuple[str, int], Dict[int, tuple]]  # last round's new facts by predicate, by id
 
 
-def _fresh_vars() -> Callable[[int], Term]:
-    """A `rename_atom` source of variables no clause can name: $F0, $F1, ..."""
-    counter = itertools.count()
-    return lambda _: Var(f"{_FRESH_PREFIX}{next(counter)}")
+def _fresh_vars() -> Callable[[], Var]:
+    """A source of variables no clause can name: $F0, $F1, ..."""
+    counter = count()
+    return lambda: Var(f"{_FRESH_PREFIX}{next(counter)}")
 
 
-def _join(body: Sequence[Atom], subst: Dict[str, Term], store: FactStore, fresh,
-          delta: Optional[Delta] = None, k: int = -1, i: int = 0) -> Iterator:
+def _join(body: Sequence[tuple], subst: dict, store: FactStore, fresh,
+          delta: Optional[Delta] = None, k: int = -1, i: int = 0) -> Iterator[dict]:
     """Depth-first extensions of `subst` that unify `body[i:]` with stored
-    facts, each fact with a variable renamed apart per use.
+    facts, each open fact renamed apart per use.
 
     With `delta`, position `k` reads only delta facts, positions before it
-    skip them and later ones read the whole store.  A ground pattern
-    renames nothing and binds nothing, so only the first fact that
-    matches it is followed.  Candidate lists are live, so `store` must not
-    grow during the walk."""
+    skip them and later ones read the whole store.  A ground pattern binds
+    nothing, so it is looked up (`generalisations`) and followed once; any
+    other is matched one way against a ground fact.  Candidate lists are
+    live, so `store` must not grow during the walk."""
     if i == len(body):
         yield subst
         return
-    pattern = apply_subst_atom(body[i], subst)
-    facts = store.candidates(pattern)
+    pattern = _resolve(body[i], subst)
+    ground = _ground(pattern)
+    facts = store.generalisations(pattern) if ground else store.candidates(pattern)
     if i <= k:
-        news = delta.get(pattern.key, {})
-        if i == k and len(news) < len(facts):
+        news = delta.get(_key(pattern), {})
+        if i == k and not ground and len(news) < len(facts):
             facts = news.values()
         elif news:
             facts = [f for f in facts if (id(f) in news) == (i == k)]
-    if all(map(is_ground, pattern.args)):
-        if any(match_atom(f, pattern, {}) is not None if id(f) in store.open else f == pattern
-               for f in facts):
+    if ground:
+        if facts:
             yield from _join(body, subst, store, fresh, delta, k, i + 1)
         return
+    opened = store.open
     for fact in facts:
-        renamed = rename_atom(fact, {}, fresh) if id(fact) in store.open else fact
-        nxt = unify_atoms(pattern, renamed, subst)
-        if nxt is not None:
+        nxt = dict(subst)
+        if (_unify(pattern, _rename(fact, {}, fresh), nxt) if id(fact) in opened
+                else _match(pattern, fact, nxt)):
             yield from _join(body, nxt, store, fresh, delta, k, i + 1)
 
 
-def _fire(clause: Rule, store: FactStore, delta: Optional[Delta], fresh, limits) -> List[Atom]:
-    """Heads derivable from `clause` by the joins that use a fact of
+def _fire(clause: tuple, store: FactStore, delta: Optional[Delta], fresh, limits) -> List[tuple]:
+    """Heads derivable from flat `clause` by the joins that use a fact of
     `delta`: one join per body position whose predicate has delta facts.
     `delta=None` joins once over the whole store."""
-    out: List[Atom] = []
-    body = clause.body
-    positions = [-1] if delta is None else [k for k, a in enumerate(body) if a.key in delta]
+    out: List[tuple] = []
+    head, body = clause
+    positions = [-1] if delta is None else [k for k, a in enumerate(body) if _key(a) in delta]
     for k in positions:
         for subst in _join(body, {}, store, fresh, delta, k):
-            head = apply_subst_atom(clause.head, subst)
-            if max(map(term_depth, head.args), default=0) <= limits.max_term_depth:
-                out.append(head)
+            fact = _resolve(head, subst)
+            if _depth(fact) - 1 <= limits.max_term_depth:
+                out.append(fact)
     return out
 
 
@@ -404,26 +471,27 @@ def extend_closure(
     round cap stops saturation before a fixpoint.
     """
     fresh = _fresh_vars()
-    delta = [atom for atom in new_facts if store.add(atom)]
-    for clause in new_clauses:
-        delta.extend(a for a in _fire(clause, store, None, fresh, limits) if store.add(a))
+    clauses = [_flat_clause(c) for c in all_clauses]
+    delta = [fact for fact in map(flat_atom, new_facts) if store.add(fact)]
+    for clause in map(_flat_clause, new_clauses):
+        delta.extend(f for f in _fire(clause, store, None, fresh, limits) if store.add(f))
     if store.count > limits.max_facts:
         raise LimitExceeded("initial facts exceed max_facts")
     for _ in range(limits.max_depth):
         if not delta:
             return
         by_key: Delta = {}
-        for atom in delta:
-            by_key.setdefault(atom.key, {})[id(atom)] = atom
-        new: List[Atom] = []
-        for clause in all_clauses:
+        for fact in delta:
+            by_key.setdefault(_key(fact), {})[id(fact)] = fact
+        new: List[tuple] = []
+        for clause in clauses:
             new.extend(_fire(clause, store, by_key, fresh, limits))
         delta = []
-        for atom in new:
-            if store.add(atom):
+        for fact in new:
+            if store.add(fact):
                 if store.count > limits.max_facts:
                     raise LimitExceeded("derived fact count exceeds max_facts")
-                delta.append(atom)
+                delta.append(fact)
     if delta:
         raise LimitExceeded("round cap reached before fixpoint")
 
@@ -449,10 +517,9 @@ def general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
     The head must match the (ground) goal exactly; each body atom must then
     unify with some stored fact, facts being renamed apart per use.
     """
-    subst = match_atom(general.head, goal, {})
-    if subst is None:
-        return False
-    return next(_join(general.body, subst, store, _fresh_vars()), None) is not None
+    (head, body), subst = _flat_clause(general), {}
+    return _match(head, flat_atom(goal), subst) and next(
+        _join(body, subst, store, _fresh_vars()), None) is not None
 
 
 def covers(
@@ -504,7 +571,7 @@ class VerdictStore:
         if entry is None:
             store = FactStore()
             for atom in bg.facts:
-                store.add(atom)
+                store.add(flat_atom(atom))
             entry = self._by_facts[bg.fingerprint] = (store, {})
         return entry
 

@@ -106,13 +106,6 @@ def iter_terms(term: Term) -> Iterator[Term]:
             yield from iter_terms(arg)
 
 
-def term_depth(term: Term) -> int:
-    """Nesting depth; variables and constants count 1."""
-    if isinstance(term, Var) or not term.args:
-        return 1
-    return 1 + max(term_depth(a) for a in term.args)
-
-
 def signature_stats(rule: Rule) -> SignatureStats:
     """Count symbol occurrences across head and body jointly.
 

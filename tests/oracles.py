@@ -6,11 +6,10 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from covkb.covgraph import CoverageGraph, transitive_reduce
 from covkb.deduce import (
-    Background, DeriveLimits, FactStore, LimitExceeded, apply_subst_atom, forward_closure,
-    match_atom, unify_atoms,
+    Background, DeriveLimits, FactStore, LimitExceeded, flat_atom, forward_closure, match_atom,
 )
 from covkb.rules import (
-    CANDIDATE, EVIDENCE, Atom, Compound, Rule, Var, rename_atom, rule_length, term_depth,
+    CANDIDATE, EVIDENCE, Atom, Compound, Rule, Term, Var, canonical_var, rename_atom, rule_length,
 )
 
 ClassVector = Dict[str, float]
@@ -189,7 +188,8 @@ def derives_goal(
     """True iff ground `goal` follows from bg plus `extra` within limits:
     a full saturation, then a lookup for a fact that `goal` is an instance of."""
     store = forward_closure(bg.extended(extra), limits=limits)
-    return any(match_atom(f, goal, {}) is not None for f in store.candidates(goal))
+    return any(match_atom(atom_of(f), goal, {}) is not None
+               for f in store.candidates(flat_atom(goal)))
 
 
 def is_variant(a: Atom, b: Atom) -> bool:
@@ -226,12 +226,125 @@ def same_facts_modulo_variants(a: Sequence[Atom], b: Sequence[Atom]) -> bool:
     return not any(buckets.values())
 
 
+# -- the Atom-level reference for the library's flat forward chaining ----------
+
+
+def term_of(t) -> Term:
+    """The Term a flat term encodes (see `deduce.flat_atom`)."""
+    if isinstance(t, Var):
+        return t
+    if isinstance(t, str):
+        return Compound(t)
+    return Compound(t[0], tuple(map(term_of, t[1:])))
+
+
+def atom_of(fact) -> Atom:
+    """The Atom a flat fact encodes."""
+    return Atom(fact[0], tuple(map(term_of, fact[1:])))
+
+
+def stored_atoms(store: FactStore) -> List[Atom]:
+    """Every fact of a library store, decoded."""
+    return [atom_of(f) for facts in store.by_pred.values() for f in facts]
+
+
+def walk(term: Term, subst: Dict[str, Term]) -> Term:
+    while isinstance(term, Var) and term.name in subst:
+        term = subst[term.name]
+    return term
+
+
+def apply_subst(term: Term, subst: Dict[str, Term]) -> Term:
+    term = walk(term, subst)
+    if isinstance(term, Var) or not term.args:
+        return term
+    return Compound(term.functor, tuple(apply_subst(a, subst) for a in term.args))
+
+
+def apply_subst_atom(atom: Atom, subst: Dict[str, Term]) -> Atom:
+    return Atom(atom.pred, tuple(apply_subst(a, subst) for a in atom.args))
+
+
+def is_ground(term: Term) -> bool:
+    if isinstance(term, Var):
+        return False
+    return all(is_ground(a) for a in term.args)
+
+
+def term_depth(term: Term) -> int:
+    """Nesting depth; variables and constants count 1."""
+    if isinstance(term, Var) or not term.args:
+        return 1
+    return 1 + max(term_depth(a) for a in term.args)
+
+
+def _occurs(name: str, term: Term, subst: Dict[str, Term]) -> bool:
+    term = walk(term, subst)
+    if isinstance(term, Var):
+        return term.name == name
+    return any(_occurs(name, a, subst) for a in term.args)
+
+
+def unify(a: Term, b: Term, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
+    """Most general unifier extending `subst`, or None."""
+    a, b = walk(a, subst), walk(b, subst)
+    if isinstance(a, Var):
+        if isinstance(b, Var) and a.name == b.name:
+            return subst
+        if _occurs(a.name, b, subst):
+            return None
+        out = dict(subst)
+        out[a.name] = b
+        return out
+    if isinstance(b, Var):
+        return unify(b, a, subst)
+    if a.functor != b.functor or len(a.args) != len(b.args):
+        return None
+    for x, y in zip(a.args, b.args):
+        subst = unify(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def unify_atoms(a: Atom, b: Atom, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
+    if a.pred != b.pred or a.arity != b.arity:
+        return None
+    for x, y in zip(a.args, b.args):
+        subst = unify(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+class ReferenceStore:
+    """Atom facts by predicate; `add` refuses a fact whose canonical
+    renaming a stored fact shares, that is, a variant."""
+
+    def __init__(self):
+        self.by_pred: Dict[Tuple[str, int], List[Atom]] = {}
+        self.seen: Set[Atom] = set()
+        self.count = 0
+
+    def add(self, atom: Atom) -> bool:
+        key = rename_atom(atom, {}, canonical_var)
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        self.by_pred.setdefault(atom.key, []).append(atom)
+        self.count += 1
+        return True
+
+    def atoms(self) -> List[Atom]:
+        return [a for facts in self.by_pred.values() for a in facts]
+
+
 def _fresh_vars():
     counter = itertools.count()
     return lambda _: Var(f"$R{next(counter)}")
 
 
-def reference_join(body: Sequence[Atom], subst, store: FactStore, fresh,
+def reference_join(body: Sequence[Atom], subst, store: ReferenceStore, fresh,
                    delta: Set[int] = frozenset(), i: int = 0, used: bool = False) -> Iterator:
     """The whole-store join: every stored fact of the predicate is renamed
     apart and unified with `body[i]`.  Yields (subst, used): `used` says some
@@ -247,7 +360,7 @@ def reference_join(body: Sequence[Atom], subst, store: FactStore, fresh,
                                       used or id(fact) in delta)
 
 
-def reference_fire(clause: Rule, store: FactStore, delta: Optional[Set[int]], fresh,
+def reference_fire(clause: Rule, store: ReferenceStore, delta: Optional[Set[int]], fresh,
                    limits: DeriveLimits) -> List[Atom]:
     """Heads of the joins that used a fact of `delta` (every join when None)."""
     out = []
@@ -259,7 +372,7 @@ def reference_fire(clause: Rule, store: FactStore, delta: Optional[Set[int]], fr
     return out
 
 
-def reference_extend_closure(store: FactStore, all_clauses: Sequence[Rule],
+def reference_extend_closure(store: ReferenceStore, all_clauses: Sequence[Rule],
                              new_clauses: Sequence[Rule], new_facts: Sequence[Atom],
                              limits: DeriveLimits) -> None:
     """`deduce.extend_closure` over `reference_fire`: each round joins every
@@ -285,7 +398,7 @@ def reference_extend_closure(store: FactStore, all_clauses: Sequence[Rule],
         raise LimitExceeded("round cap reached before fixpoint")
 
 
-def reference_general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
+def reference_general_fires(general: Rule, goal: Atom, store: ReferenceStore) -> bool:
     """`deduce.general_fires` over the whole-store join."""
     subst = match_atom(general.head, goal, {})
     return subst is not None and next(

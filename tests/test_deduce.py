@@ -17,16 +17,17 @@ from covkb.deduce import (
     LimitExceeded,
     VerdictStore,
     covers,
+    flat_atom,
+    match_atom,
     theta_subsumes,
-    unify_atoms,
 )
 from covkb.parser import parse_file, parse_program
 from covkb.rules import BACKGROUND, Atom, Compound, Rule, Var, rename_atom, render_rule
 
 from conftest import CHESS_DIR, FAMILY_KBR
 from oracles import (
-    derives_goal, is_variant, reference_extend_closure, reference_general_fires,
-    same_facts_modulo_variants,
+    ReferenceStore, derives_goal, is_ground, is_variant, reference_extend_closure,
+    reference_general_fires, same_facts_modulo_variants, stored_atoms, unify_atoms,
 )
 
 
@@ -354,24 +355,84 @@ class TestFactStore:
     def test_keys_refuse_exactly_variants_and_candidates_are_complete(self, facts, patterns):
         # Copies of earlier facts: variants, instances and ground instances.
         facts += [substituted(a, b) for b in (CYCLED, MERGED, GROUNDED) for a in facts[::3]]
-        store, stored = FactStore(), []
+        store, stored = FactStore(), []  # stored: (atom, its flat fact)
         for atom in facts:
-            new = not any(is_variant(atom, old) for old in stored)
-            assert store.add(atom) == new, atom
+            new = not any(is_variant(atom, old) for old, _ in stored)
+            fact = flat_atom(atom)
+            assert store.add(fact) == new, atom
             if new:
-                stored.append(atom)
+                stored.append((atom, fact))
         assert store.count == len(stored)
-        ground = [a for a in stored if all(map(deduce.is_ground, a.args))]
-        for pattern in patterns + ground:
-            found = {id(f) for f in store.candidates(pattern)}
-            assert all(id(f) in found for f in stored if unify_atoms(pattern, f, {}) is not None)
+        ground = [a for a, _ in stored if all(map(is_ground, a.args))]
+        instances = [grounded(a, c) for a, _ in stored for c in ("a", "ab")]
+        for pattern in patterns + ground + instances:
+            flat = flat_atom(pattern)
+            found = {id(f) for f in store.candidates(flat)}
+            assert all(id(f) in found
+                       for a, f in stored if unify_atoms(pattern, a, {}) is not None)
+            if all(map(is_ground, pattern.args)):
+                # a ground goal's lookup is exact: the facts it is an instance of
+                assert sorted(map(id, store.generalisations(flat))) == sorted(
+                    id(f) for a, f in stored if match_atom(a, pattern, {}) is not None)
 
     def test_a_ground_argument_narrows_to_its_bucket_and_the_wildcards(self):
-        facts = [Atom("p", (Compound(str(i)), Var("X"))) for i in range(20)]
-        wild = Atom("p", (Var("X"), Compound("f", (Compound("a"),))))
+        facts = [flat_atom(Atom("p", (Compound(str(i)), Var("X")))) for i in range(20)]
+        wild = flat_atom(Atom("p", (Var("X"), Compound("f", (Compound("a"),)))))
         store = FactStore()
-        assert all(store.add(a) for a in facts + [wild])
-        assert store.candidates(Atom("p", (Compound("3"), Compound("b")))) == [facts[3], wild]
+        assert all(store.add(f) for f in facts + [wild])
+        assert store.candidates(("p", "3", "b")) == [facts[3], wild]
+
+
+class TestFlatKernel:
+    """Hand-built cases for the flat fact store and the join."""
+
+    @staticmethod
+    def fact(text):
+        return flat_atom(one(text + ".").head)
+
+    def test_open_fact_with_a_repeated_variable_answers_only_its_instances(self):
+        fillers = [f"move(rook,pos({f},1),pos({f},3))" for f in "abcdefgh"]
+        bg = Background([with_id(one(t + "."), n) for n, t in enumerate(
+            fillers + ["move(rook,pos(V,1),pos(V,2))"])])
+        store = deduce.forward_closure(bg)
+        (wild,) = store.generalisations(self.fact("move(rook,pos(a,1),pos(a,2))"))
+        assert wild == self.fact("move(rook,pos(V,1),pos(V,2))")
+        assert store.generalisations(self.fact("move(rook,pos(a,1),pos(b,2))")) == []
+        goal = one("hit(a,a).").head
+        general = with_id(one("hit(X,Y) :- move(rook,pos(X,1),pos(Y,2))."), 99)
+        assert deduce.general_fires(general, goal, store)
+        assert not deduce.general_fires(general, one("hit(a,b).").head, store)
+
+    def test_ground_subgoal_reads_last_rounds_facts_only_at_position_k(self):
+        store = FactStore()
+        old = [self.fact(t) for t in ("r(a)", "r(f(V))", "r(h(c))")]
+        new = [self.fact(t) for t in ("r(b)", "r(g(V))", "r(h(V))")]
+        assert all(store.add(f) for f in old + new)
+        delta = {("r", 1): {id(f): f for f in new}}
+
+        def joins(goal, k):
+            body = (self.fact(goal),)
+            return any(True for _ in deduce._join(body, {}, store, None, delta, k))
+
+        # (goal, found among old facts, found among new facts)
+        for goal, in_old, in_new in [("r(a)", True, False), ("r(f(c))", True, False),
+                                     ("r(b)", False, True), ("r(g(c))", False, True),
+                                     ("r(h(c))", True, True), ("r(c)", False, False)]:
+            assert joins(goal, 1) == in_old, goal   # position 0 < k
+            assert joins(goal, 0) == in_new, goal   # position 0 == k
+            assert joins(goal, -1) == (in_old or in_new), goal
+
+    def test_open_fact_derived_twice_under_different_names_is_stored_once(self):
+        texts = ["q(b).", "p(A,f(A)) :- q(b).", "p(B,f(B)) :- q(b).", "p(C,f(D)) :- q(b).",
+                 "r(X,f(X)) :- p(X,f(X)).", "r(Y,Z) :- p(Y,Z)."]
+        store = deduce.forward_closure(Background(
+            [with_id(one(t), n) for n, t in enumerate(texts)]))
+        # q(b); p(V,f(V)) and p(V,f(W)); from them, in the next round,
+        # r(V,f(V)) twice over and r(V,f(W))
+        assert store.count == 5
+        assert [len(store.by_pred[k]) for k in (("p", 2), ("r", 2))] == [2, 2]
+        assert all(store.add(self.fact(t)) is False
+                   for t in ("p(Z,f(Z))", "p(Y,f(X))", "r(W,f(W))"))
 
 
 def clauses(names):
@@ -385,10 +446,10 @@ def numbered(specs, start):
             else Rule(id=start + n, head=s) for n, s in enumerate(specs)]
 
 
-def saturate(extend, bg, grown, limits):
-    """Saturate `bg`, then extend by what `grown` adds, as an oracle does
-    after a promotion; gives the store and the LimitExceeded message."""
-    store = FactStore()
+def saturate(extend, store, bg, grown, limits):
+    """Saturate `bg` into the empty `store`, then extend by what `grown`
+    adds, as an oracle does after a promotion; gives the store and the
+    LimitExceeded message."""
     added = [r for r in grown.rules if r.id not in bg.rule_ids]
     try:
         extend(store, bg.clauses, (), bg.facts, limits)
@@ -397,10 +458,6 @@ def saturate(extend, bg, grown, limits):
     except LimitExceeded as exc:
         return store, str(exc)
     return store, None
-
-
-def stored(store):
-    return [a for facts in store.by_pred.values() for a in facts]
 
 
 def grounded(atom, constants):
@@ -433,16 +490,17 @@ class TestSemiNaiveJoin:
         grown = bg.extended(numbered(added, 100))
         for depth in range(1, max_depth + 1):
             limits = DeriveLimits(depth, max_facts, max_term_depth)
-            store, hit = saturate(deduce.extend_closure, bg, grown, limits)
-            want, want_hit = saturate(reference_extend_closure, bg, grown, limits)
+            store, hit = saturate(deduce.extend_closure, FactStore(), bg, grown, limits)
+            want, want_hit = saturate(reference_extend_closure, ReferenceStore(), bg, grown,
+                                      limits)
             assert hit == want_hit
             assert store.count == want.count
-            assert same_facts_modulo_variants(stored(store), stored(want))
-        goals = [grounded(a, c) for a in goals + stored(store) for c in ("a", "ab")]
+            assert same_facts_modulo_variants(stored_atoms(store), want.atoms())
+        goals = [grounded(a, c) for a in goals + stored_atoms(store) for c in ("a", "ab")]
         for general in grown.clauses:
             for goal in goals:
                 assert (deduce.general_fires(general, goal, store)
-                        == reference_general_fires(general, goal, store)), (general, goal)
+                        == reference_general_fires(general, goal, want)), (general, goal)
 
 
 class TestIncrementalFixture:
@@ -470,14 +528,18 @@ class TestIncrementalFixture:
         rules = [with_id(r, n) for n, r in enumerate(bg + pieces + queens)]
         base = Background(rules[:-2])
         store = deduce.forward_closure(base, limits=limits)
-        want = FactStore()
+        want = ReferenceStore()
         reference_extend_closure(want, base.clauses, (), base.facts, limits)
-        seen = [(store.count, same_facts_modulo_variants(stored(store), stored(want)))]
+
+        def same():
+            return store.count, same_facts_modulo_variants(stored_atoms(store), want.atoms())
+
+        seen = [same()]
         for n, queen in enumerate(rules[-2:]):
             grown = base.clauses + rules[-2:][:n + 1]
             deduce.extend_closure(store, grown, [queen], [], limits)
             reference_extend_closure(want, grown, [queen], [], limits)
-            seen.append((store.count, same_facts_modulo_variants(stored(store), stored(want))))
+            seen.append(same())
         assert seen == [(2576, True), (2800, True), (5040, True)]
 
 
