@@ -14,16 +14,20 @@ Two coverage semantics are provided.
   the background alone already entails the head.
 
 Forward chaining runs on flat tuples (see "flat terms" below), converted
-from Atoms where clauses, facts and goals enter `extend_closure`,
-`general_fires` and a raw background store.  It tolerates
-non-range-restricted clauses by storing open (non-ground) derived facts:
-an unbound head variable stands for "any term".  A fact is keyed by its
-shape (ground subterms blanked, variables numbered) and ground parts, so
-a ground subgoal is one lookup per shape of its predicate.  Rounds are
-semi-naive: a clause is joined once per body position k whose predicate
-gained facts in the last round; position k reads only those facts and
-earlier positions skip them, so each join that uses a new fact is made
-exactly once.  All searches are bounded by `DeriveLimits`.
+from Atoms where clauses and facts enter `extend_closure` and a raw
+background store.  It tolerates non-range-restricted clauses by storing
+open (non-ground) derived facts: an unbound head variable stands for "any
+term".  A fact is keyed by its shape (ground subterms blanked, variables
+numbered) and ground parts, so a ground subgoal is one lookup per shape
+of its predicate.  Rounds are semi-naive: a clause is joined once per
+body position k whose predicate gained facts in the last round; position
+k reads only those facts and earlier positions skip them, so each join
+that uses a new fact is made exactly once.  A head or join pattern is
+resolved in one walk (`_build`) that also gives its depth and whether it
+is ground, so a ground fact is stored without building a shape.
+`general_fires` takes a flat clause and goal, which the oracle's
+`VerdictStore` makes once per canonical key.  All searches are bounded
+by `DeriveLimits`.
 """
 
 from __future__ import annotations
@@ -212,7 +216,10 @@ def flat_atom(atom: Atom) -> tuple:
     return (atom.pred, *map(_flat_term, atom.args))
 
 
-def _flat_clause(rule: Rule) -> Tuple[tuple, Tuple[tuple, ...]]:
+Clause = Tuple[tuple, Tuple[tuple, ...]]  # a flat head and flat body
+
+
+def flat_clause(rule: Rule) -> Clause:
     return flat_atom(rule.head), tuple(map(flat_atom, rule.body))
 
 
@@ -229,27 +236,32 @@ def _ground(t) -> bool:
     return True
 
 
-def _depth(t: tuple) -> int:
-    """Nesting depth of a compound, or of an atom's arguments plus one."""
-    deepest = 1
-    for a in t:
-        if type(a) is tuple:
-            deepest = max(deepest, _depth(a))
-    return deepest + 1
-
-
 def _walk(t, subst: dict):
     while type(t) is Var and t.name in subst:
         t = subst[t.name]
     return t
 
 
-def _resolve(t, subst: dict):
-    """`t` with each bound variable replaced by its binding, recursively."""
-    t = _walk(t, subst)
-    if type(t) is tuple:
-        return tuple([a if type(a) is str else _resolve(a, subst) for a in t])
-    return t
+def _build(t, subst: dict) -> Tuple[object, int, bool]:
+    """`t` with each bound variable replaced by its binding, recursively,
+    with its nesting depth (a compound's, or an atom's arguments' plus one;
+    a constant or variable is 1) and whether it is ground, in one walk."""
+    while type(t) is Var:
+        if t.name not in subst:
+            return t, 1, False
+        t = subst[t.name]
+    if type(t) is str:
+        return t, 1, True
+    parts, deepest, ground = [], 1, True
+    for a in t:
+        if type(a) is not str:
+            a, depth, g = _build(a, subst)
+            if depth > deepest:
+                deepest = depth
+            if not g:
+                ground = False
+        parts.append(a)
+    return tuple(parts), deepest + 1, ground
 
 
 def _rename(t, names: dict, fresh: Callable[[], Var]):
@@ -328,7 +340,8 @@ class FactStore:
 
     A fact is keyed by its shape (`_shape`) and ground parts, which fix it
     up to renaming, so `add` refuses a variant of a stored fact; a ground
-    fact's shape is None and its one part is itself.  An argument with a
+    fact's shape is None and its one part is itself, so `add`, told that
+    a fact is ground, builds no shape.  An argument with a
     variable lands in its position's wildcard bucket (None) so indexed
     lookups stay complete; `open` holds the ids of the facts with a
     variable, the only ones a join renames.
@@ -341,10 +354,10 @@ class FactStore:
         self.open: Set[int] = set()
         self.count = 0
 
-    def add(self, fact: tuple) -> bool:
+    def add(self, fact: tuple, ground: bool) -> bool:
         pkey, parts = _key(fact), []
-        shape = _shape(fact, parts, {})
-        facts, key = self._shapes.setdefault(pkey, {}).setdefault(shape, {}), tuple(parts)
+        shape, key = (None, (fact,)) if ground else (_shape(fact, parts, {}), tuple(parts))
+        facts = self._shapes.setdefault(pkey, {}).setdefault(shape, {})
         if key in facts:
             return False
         facts[key] = fact
@@ -400,12 +413,13 @@ def _join(body: Sequence[tuple], subst: dict, store: FactStore, fresh,
     skip them and later ones read the whole store.  A ground pattern binds
     nothing, so it is looked up (`generalisations`) and followed once; any
     other is matched one way against a ground fact.  Candidate lists are
-    live, so `store` must not grow during the walk."""
+    live, so `store` must not grow during the walk.  The last position
+    yields its bindings itself rather than recurse once per fact."""
     if i == len(body):
         yield subst
         return
-    pattern = _resolve(body[i], subst)
-    ground = _ground(pattern)
+    pattern, _, ground = _build(body[i], subst)
+    last = i + 1 == len(body)
     facts = store.generalisations(pattern) if ground else store.candidates(pattern)
     if i <= k:
         news = delta.get(_key(pattern), {})
@@ -415,28 +429,33 @@ def _join(body: Sequence[tuple], subst: dict, store: FactStore, fresh,
             facts = [f for f in facts if (id(f) in news) == (i == k)]
     if ground:
         if facts:
-            yield from _join(body, subst, store, fresh, delta, k, i + 1)
+            yield from [subst] if last else _join(body, subst, store, fresh, delta, k, i + 1)
         return
     opened = store.open
     for fact in facts:
         nxt = dict(subst)
         if (_unify(pattern, _rename(fact, {}, fresh), nxt) if id(fact) in opened
                 else _match(pattern, fact, nxt)):
-            yield from _join(body, nxt, store, fresh, delta, k, i + 1)
+            if last:
+                yield nxt
+            else:
+                yield from _join(body, nxt, store, fresh, delta, k, i + 1)
 
 
-def _fire(clause: tuple, store: FactStore, delta: Optional[Delta], fresh, limits) -> List[tuple]:
+def _fire(clause: Clause, store: FactStore, delta: Optional[Delta], fresh, limits) -> list:
     """Heads derivable from flat `clause` by the joins that use a fact of
-    `delta`: one join per body position whose predicate has delta facts.
-    `delta=None` joins once over the whole store."""
-    out: List[tuple] = []
+    `delta`, each with whether it is ground: one join per body position
+    whose predicate has delta facts.  `delta=None` joins once over the
+    whole store."""
+    out: List[Tuple[tuple, bool]] = []
     head, body = clause
+    cap = limits.max_term_depth + 1  # an atom's depth is its arguments' plus one
     positions = [-1] if delta is None else [k for k, a in enumerate(body) if _key(a) in delta]
     for k in positions:
         for subst in _join(body, {}, store, fresh, delta, k):
-            fact = _resolve(head, subst)
-            if _depth(fact) - 1 <= limits.max_term_depth:
-                out.append(fact)
+            fact, depth, ground = _build(head, subst)
+            if depth <= cap:
+                out.append((fact, ground))
     return out
 
 
@@ -471,10 +490,11 @@ def extend_closure(
     round cap stops saturation before a fixpoint.
     """
     fresh = _fresh_vars()
-    clauses = [_flat_clause(c) for c in all_clauses]
-    delta = [fact for fact in map(flat_atom, new_facts) if store.add(fact)]
-    for clause in map(_flat_clause, new_clauses):
-        delta.extend(f for f in _fire(clause, store, None, fresh, limits) if store.add(f))
+    clauses = [flat_clause(c) for c in all_clauses]
+    delta = [fact for fact in map(flat_atom, new_facts) if store.add(fact, _ground(fact))]
+    for clause in map(flat_clause, new_clauses):
+        delta.extend(f for f, ground in _fire(clause, store, None, fresh, limits)
+                     if store.add(f, ground))
     if store.count > limits.max_facts:
         raise LimitExceeded("initial facts exceed max_facts")
     for _ in range(limits.max_depth):
@@ -483,12 +503,12 @@ def extend_closure(
         by_key: Delta = {}
         for fact in delta:
             by_key.setdefault(_key(fact), {})[id(fact)] = fact
-        new: List[tuple] = []
+        new: List[Tuple[tuple, bool]] = []
         for clause in clauses:
             new.extend(_fire(clause, store, by_key, fresh, limits))
         delta = []
-        for fact in new:
-            if store.add(fact):
+        for fact, ground in new:
+            if store.add(fact, ground):
                 if store.count > limits.max_facts:
                     raise LimitExceeded("derived fact count exceeds max_facts")
                 delta.append(fact)
@@ -511,14 +531,15 @@ def skolemize(rule: Rule) -> Tuple[Atom, Tuple[Atom, ...]]:
     return head, tuple(body)
 
 
-def general_fires(general: Rule, goal: Atom, store: FactStore) -> bool:
-    """One application of `general` proving `goal` from saturated facts.
+def general_fires(general: Clause, goal: tuple, store: FactStore) -> bool:
+    """One application of the flat clause `general` proving flat `goal`
+    from saturated facts.
 
     The head must match the (ground) goal exactly; each body atom must then
     unify with some stored fact, facts being renamed apart per use.
     """
-    (head, body), subst = _flat_clause(general), {}
-    return _match(head, flat_atom(goal), subst) and next(
+    (head, body), subst = general, {}
+    return _match(head, goal, subst) and next(
         _join(body, subst, store, _fresh_vars()), None) is not None
 
 
@@ -551,7 +572,7 @@ def covers(
         if on_warning:
             on_warning(f"coverage {general.id}->{specific.id}: {exc}")
         return False
-    return general_fires(general, goal, store)
+    return general_fires(flat_clause(general), flat_atom(goal), store)
 
 
 Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> verdict
@@ -560,20 +581,30 @@ Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> 
 class VerdictStore:
     """Verdicts that depend on content alone, so any oracles may share them:
     theta-subsumption rows and, per background fact set (its fingerprint),
-    the raw fact store with the rows of generals fired against it."""
+    the raw fact store with the rows of generals fired against it.  Also
+    the forms `general_fires` reads, made once per canonical key: each
+    general's flat clause and each specific's flat skolemized goal."""
 
     def __init__(self):
         self.subsumes: Rows = {}
         self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Rows]] = {}
+        self._clauses: Dict[str, Clause] = {}
+        self._goals: Dict[str, tuple] = {}
 
     def for_facts(self, bg: Background) -> Tuple[FactStore, Rows]:
         entry = self._by_facts.get(bg.fingerprint)
         if entry is None:
             store = FactStore()
-            for atom in bg.facts:
-                store.add(flat_atom(atom))
+            for fact in map(flat_atom, bg.facts):
+                store.add(fact, _ground(fact))
             entry = self._by_facts[bg.fingerprint] = (store, {})
         return entry
+
+    def forms(self, gkey: str, general: Rule, skey: str, specific: Rule) -> Tuple[Clause, tuple]:
+        """`general`'s flat clause and `specific`'s goal, under their keys."""
+        return (self._clauses.get(gkey) or self._clauses.setdefault(gkey, flat_clause(general)),
+                self._goals.get(skey) or self._goals.setdefault(
+                    skey, flat_atom(skolemize(specific)[0])))
 
 
 class CoverageOracle:
@@ -684,7 +715,8 @@ class CoverageOracle:
             rows = self._saturated_rows
         else:
             rows = self._facts_rows
-        row = rows.setdefault(self.canon(general), {})
+        gkey = self.canon(general)
+        row = rows.setdefault(gkey, {})
         key = self.canon(specific)
         hit = row.get(key)
         if hit is None:
@@ -698,7 +730,7 @@ class CoverageOracle:
                     store = self._saturated_store()
                 else:
                     store = None  # the head cannot match: saturate nothing
-                goal, _ = skolemize(specific)
-                hit = store is not None and general_fires(general, goal, store)
+                hit = store is not None and general_fires(
+                    *self.verdicts.forms(gkey, general, key, specific), store)
             row[key] = hit
         return hit

@@ -301,25 +301,23 @@ def _load_pool(path: Optional[str], want_origin: str) -> List[Rule]:
 
 
 def scenario_classes(cfg: ScenarioConfig) -> Tuple[str, ...]:
-    """Class tokens declared by the evidence pools; must agree across phases."""
+    """Class tokens declared by the evidence pools, which must agree; errors name the pools."""
+    paths = [phase.evidence for phase in cfg.phases if phase.evidence is not None]
+    pools = f" (evidence pools: {', '.join(paths) or 'none'})"
     declared: Optional[Tuple[str, ...]] = None
-    for phase in cfg.phases:
-        if phase.evidence is None:
-            continue
-        classes = scan_classes(_read(phase.evidence, "pool file"))
+    for path in paths:
+        classes = scan_classes(_read(path, "pool file"))
         if not classes:
             continue
         if declared is None:
             declared = classes
         elif set(declared) != set(classes):
-            raise ConfigError(
-                f"class sets disagree across pools: {declared} vs {classes}"
-            )
+            raise ConfigError(f"class sets disagree across pools: {declared} vs {classes}{pools}")
     if declared is None:
-        raise ConfigError("no classes declared in any evidence pool")
+        raise ConfigError("no classes declared in any evidence pool" + pools)
     wanted = cfg.policy.consolidation_class
     if wanted is not None and wanted not in declared:
-        raise ConfigError(f"consolidation_class {wanted!r} is not a declared class {declared}")
+        raise ConfigError(f"consolidation_class {wanted!r} is not a declared class {declared}{pools}")
     return declared
 
 

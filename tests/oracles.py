@@ -1,12 +1,13 @@
 """Test-only reference oracles, independent of the library's fast paths."""
 
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from covkb.covgraph import CoverageGraph, transitive_reduce
 from covkb.deduce import (
-    Background, DeriveLimits, FactStore, LimitExceeded, flat_atom, forward_closure, match_atom,
+    Background, DeriveLimits, FactStore, LimitExceeded, _ground, _key, _shape, _walk, flat_atom,
+    forward_closure, match_atom,
 )
 from covkb.rules import (
     CANDIDATE, EVIDENCE, Atom, Compound, Rule, Term, Var, canonical_var, rename_atom, rule_length,
@@ -246,6 +247,39 @@ def atom_of(fact) -> Atom:
 def stored_atoms(store: FactStore) -> List[Atom]:
     """Every fact of a library store, decoded."""
     return [atom_of(f) for facts in store.by_pred.values() for f in facts]
+
+
+def reference_resolve(t, subst: dict):
+    """Flat `t` with each bound variable replaced by its binding, recursively."""
+    t = _walk(t, subst)
+    if type(t) is tuple:
+        return tuple([a if type(a) is str else reference_resolve(a, subst) for a in t])
+    return t
+
+
+def reference_depth(t) -> int:
+    """Nesting depth of a flat term: a constant or variable is 1, a compound
+    (or an atom) one more than its deepest part."""
+    return 1 + max(map(reference_depth, t)) if type(t) is tuple else 1
+
+
+def reference_add(store: FactStore, fact: tuple) -> bool:
+    """`FactStore.add` that builds every fact's shape, ground or not."""
+    pkey, parts = _key(fact), []
+    shape = _shape(fact, parts, {})
+    facts, key = store._shapes.setdefault(pkey, {}).setdefault(shape, {}), tuple(parts)
+    if key in facts:
+        return False
+    facts[key] = fact
+    if shape is not None:
+        store.open.add(id(fact))
+    store.by_pred.setdefault(pkey, []).append(fact)
+    slots = store._index.get(pkey) or store._index.setdefault(
+        pkey, [defaultdict(list) for _ in fact[1:]])
+    for slot, arg in zip(slots, fact[1:]):
+        slot[arg if shape is None or _ground(arg) else None].append(fact)
+    store.count += 1
+    return True
 
 
 def walk(term: Term, subst: Dict[str, Term]) -> Term:

@@ -13,6 +13,8 @@ import pytest
 
 from covkb.deduce import (
     DeriveLimits,
+    flat_atom,
+    flat_clause,
     forward_closure,
     general_fires,
     skolemize,
@@ -279,9 +281,10 @@ def consolidated_rules(state):
 
 
 def covers_some_negative(rule, negatives, store):
+    clause = flat_clause(rule)
     for e in negatives:
         goal, _ = skolemize(e)
-        if general_fires(rule, goal, store):
+        if general_fires(clause, flat_atom(goal), store):
             return True
     return False
 

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -18,17 +19,24 @@ from covkb.deduce import (
     VerdictStore,
     covers,
     flat_atom,
+    flat_clause,
     match_atom,
     theta_subsumes,
 )
 from covkb.parser import parse_file, parse_program
-from covkb.rules import BACKGROUND, Atom, Compound, Rule, Var, rename_atom, render_rule
+from covkb.rules import (
+    BACKGROUND, EVIDENCE, Atom, Compound, Rule, Var, canonical_form, rename_atom, render_rule,
+)
 
 from conftest import CHESS_DIR, FAMILY_KBR
 from oracles import (
-    ReferenceStore, derives_goal, is_ground, is_variant, reference_extend_closure,
-    reference_general_fires, same_facts_modulo_variants, stored_atoms, unify_atoms,
+    ReferenceStore, derives_goal, is_ground, is_variant, reference_add, reference_depth,
+    reference_extend_closure, reference_general_fires, reference_resolve,
+    same_facts_modulo_variants, stored_atoms, term_of, unify_atoms,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import synth  # noqa: E402  (the benchmark's pool generator)
 
 
 def rules_of(text):
@@ -356,13 +364,16 @@ class TestFactStore:
         # Copies of earlier facts: variants, instances and ground instances.
         facts += [substituted(a, b) for b in (CYCLED, MERGED, GROUNDED) for a in facts[::3]]
         store, stored = FactStore(), []  # stored: (atom, its flat fact)
+        shaped = FactStore()  # the same facts through the reference add
         for atom in facts:
             new = not any(is_variant(atom, old) for old, _ in stored)
             fact = flat_atom(atom)
-            assert store.add(fact) == new, atom
+            assert store.add(fact, all(map(is_ground, atom.args))) == new, atom
+            assert reference_add(shaped, fact) == new, atom
             if new:
                 stored.append((atom, fact))
         assert store.count == len(stored)
+        assert vars(store) == vars(shaped)
         ground = [a for a, _ in stored if all(map(is_ground, a.args))]
         instances = [grounded(a, c) for a, _ in stored for c in ("a", "ab")]
         for pattern in patterns + ground + instances:
@@ -379,7 +390,7 @@ class TestFactStore:
         facts = [flat_atom(Atom("p", (Compound(str(i)), Var("X")))) for i in range(20)]
         wild = flat_atom(Atom("p", (Var("X"), Compound("f", (Compound("a"),)))))
         store = FactStore()
-        assert all(store.add(f) for f in facts + [wild])
+        assert all(store.add(f, False) for f in facts + [wild])
         assert store.candidates(("p", "3", "b")) == [facts[3], wild]
 
 
@@ -389,6 +400,10 @@ class TestFlatKernel:
     @staticmethod
     def fact(text):
         return flat_atom(one(text + ".").head)
+
+    @staticmethod
+    def fires(general, goal, store):
+        return deduce.general_fires(flat_clause(general), flat_atom(goal), store)
 
     def test_open_fact_with_a_repeated_variable_answers_only_its_instances(self):
         fillers = [f"move(rook,pos({f},1),pos({f},3))" for f in "abcdefgh"]
@@ -400,14 +415,14 @@ class TestFlatKernel:
         assert store.generalisations(self.fact("move(rook,pos(a,1),pos(b,2))")) == []
         goal = one("hit(a,a).").head
         general = with_id(one("hit(X,Y) :- move(rook,pos(X,1),pos(Y,2))."), 99)
-        assert deduce.general_fires(general, goal, store)
-        assert not deduce.general_fires(general, one("hit(a,b).").head, store)
+        assert self.fires(general, goal, store)
+        assert not self.fires(general, one("hit(a,b).").head, store)
 
     def test_ground_subgoal_reads_last_rounds_facts_only_at_position_k(self):
         store = FactStore()
         old = [self.fact(t) for t in ("r(a)", "r(f(V))", "r(h(c))")]
         new = [self.fact(t) for t in ("r(b)", "r(g(V))", "r(h(V))")]
-        assert all(store.add(f) for f in old + new)
+        assert all(store.add(f, deduce._ground(f)) for f in old + new)
         delta = {("r", 1): {id(f): f for f in new}}
 
         def joins(goal, k):
@@ -431,8 +446,45 @@ class TestFlatKernel:
         # r(V,f(V)) twice over and r(V,f(W))
         assert store.count == 5
         assert [len(store.by_pred[k]) for k in (("p", 2), ("r", 2))] == [2, 2]
-        assert all(store.add(self.fact(t)) is False
+        assert all(store.add(self.fact(t), False) is False
                    for t in ("p(Z,f(Z))", "p(Y,f(X))", "r(W,f(W))"))
+
+
+FLAT_VARS = ("X", "Y", "$F0", "$F1", "$F2")  # clause variables, then fresh ones
+
+
+def flat_terms(names, max_leaves=5):
+    leaf = st.sampled_from(["a", "b"])
+    if names:
+        leaf = leaf | st.sampled_from(names).map(Var)
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.tuples(st.just("f"), sub), st.tuples(st.just("g"), sub, sub)), max_leaves=max_leaves)
+
+
+@st.composite
+def substitutions(draw):
+    """Bindings in which a variable's term names only later variables, so
+    chains such as X -> f($F0), $F0 -> $F1 end, as a join's bindings do."""
+    subst = {}
+    for i, name in enumerate(FLAT_VARS):
+        if draw(st.booleans()):
+            subst[name] = draw(flat_terms(FLAT_VARS[i + 1:]))
+    return subst
+
+
+class TestOneWalk:
+    """`_build` against the separate walks in oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(("p", Var("X"), "a"), {"X": ("f", Var("$F0")), "$F0": Var("$F1"), "$F1": "b"})
+    @example(("p", ("g", Var("Y"), Var("$F2"))), {"Y": Var("$F0"), "$F0": ("f", ("f", "a"))})
+    @given(st.one_of(flat_terms(FLAT_VARS),
+                     st.tuples(st.just("p"), flat_terms(FLAT_VARS), flat_terms(FLAT_VARS))),
+           substitutions())
+    def test_build_is_resolve_depth_and_groundness(self, term, subst):
+        want = reference_resolve(term, subst)
+        assert deduce._build(term, subst) == (
+            want, reference_depth(want), is_ground(term_of(want)))
 
 
 def clauses(names):
@@ -499,7 +551,7 @@ class TestSemiNaiveJoin:
         goals = [grounded(a, c) for a in goals + stored_atoms(store) for c in ("a", "ab")]
         for general in grown.clauses:
             for goal in goals:
-                assert (deduce.general_fires(general, goal, store)
+                assert (deduce.general_fires(flat_clause(general), flat_atom(goal), store)
                         == reference_general_fires(general, goal, want)), (general, goal)
 
 
@@ -607,7 +659,7 @@ class TestVerdictStore:
         real = deduce.general_fires
 
         def counted(general, goal, store):
-            calls.append(general.id)
+            calls.append(general)
             return real(general, goal, store)
 
         monkeypatch.setattr(deduce, "general_fires", counted)
@@ -622,7 +674,7 @@ class TestVerdictStore:
         assert grown.fingerprint == bg.fingerprint
         oracle.set_background(grown)
         assert oracle.covers_pair(general, ev)
-        assert fires == [1]
+        assert fires == [flat_clause(general)]
 
     def test_promoted_fact_flips_facts_only_verdict(self, fires):
         bg = Background([with_id(one("p(a)."), 90)])
@@ -631,7 +683,7 @@ class TestVerdictStore:
         assert not oracle.covers_pair(general, ev)
         oracle.set_background(bg.extended([with_id(one("q(a)."), 91)]))
         assert oracle.covers_pair(general, ev)
-        assert fires == [1, 1]
+        assert fires == [flat_clause(general)] * 2
 
     def test_saturated_verdict_decided_again_after_change(self, fires):
         bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
@@ -639,10 +691,10 @@ class TestVerdictStore:
         general, ev = with_id(one("h(X) :- q(X)."), 1), self.ev("h(a).")
         assert oracle.covers_pair(general, ev)
         assert oracle.covers_pair(general, ev)
-        assert fires == [1]
+        assert fires == [flat_clause(general)]
         oracle.set_background(bg.extended([with_id(one("s(X) :- p(X)."), 92)]))
         assert oracle.covers_pair(general, ev)
-        assert fires == [1, 1]
+        assert fires == [flat_clause(general)] * 2
 
     def test_shared_store_agrees_with_separate_stores(self, family_bg):
         rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
@@ -675,6 +727,59 @@ class TestVerdictStore:
         ]
         assert len({tuple(v) for v in direct}) == 3
         assert verdicts(shared) == verdicts(alone) == direct
+
+
+class TestCompiledForms:
+    """Verdicts from the forms `VerdictStore.forms` keeps per canonical key,
+    and the oracle's, against the reference join on every pair of a
+    general and an evidence fact of a pool."""
+
+    @staticmethod
+    def check(bg, generals, specifics):
+        """Asserts every pair's verdicts; gives the store and covered pairs."""
+        store = deduce.forward_closure(bg)
+        want = ReferenceStore()
+        reference_extend_closure(want, bg.clauses, (), bg.facts, DeriveLimits())
+        keys = {r.id: canonical_form(r) for r in [*generals, *specifics]}
+        verdicts = VerdictStore()
+        oracle = CoverageOracle(bg, CoverageConfig(), keys=keys, verdicts=verdicts)
+        covered = 0
+        for general in generals:
+            for specific in specifics:
+                expected = reference_general_fires(general, deduce.skolemize(specific)[0], want)
+                forms = verdicts.forms(keys[general.id], general, keys[specific.id], specific)
+                assert deduce.general_fires(*forms, store) == expected, (general, specific)
+                assert oracle.covers_pair(general, specific) == expected, (general, specific)
+                covered += expected
+        return verdicts, covered
+
+    def test_family_pairs_and_renamed_twins(self, family_bg):
+        rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
+        twins = [with_id(R110, 800),
+                 with_id(one("daughter(A,B) :- female(A), parent(B,A)."), 801)]
+        key = canonical_form(twins[0])
+        assert canonical_form(twins[1]) == key
+        generals = [r for r in rules if r.origin != EVIDENCE] + twins
+        evidence = [r for r in rules if r.origin == EVIDENCE]
+        derived = family_bg.extended([with_id(one("female(X) :- parent(Y,X)."), 900)])
+        counts = []
+        for bg in (family_bg, derived):
+            verdicts, covered = self.check(bg, generals, evidence)
+            counts.append(covered)
+            # the second twin reads the first one's clause
+            ev = evidence[0]
+            first, second = (verdicts.forms(key, t, canonical_form(ev), ev)[0] for t in twins)
+            assert first is second == flat_clause(twins[0])
+        assert 0 < counts[0] < counts[1]
+
+    def test_synth_pool_pairs(self):
+        files = synth.generate(1, synth.SIZE)
+        pool = {name: [with_id(r, 10_000 * n + i)
+                       for i, r in enumerate(parse_program(files[f"{name}.kbr"]))]
+                for n, name in enumerate(("background", "evidence", "candidates"))}
+        _, covered = self.check(Background(pool["background"]), pool["candidates"],
+                                pool["evidence"])
+        assert covered > 0
 
 
 class TestCoverageModeKnobs:

@@ -368,6 +368,29 @@ class TestCli:
         assert err.startswith("error: consolidation_class 'pos' is not a declared class")
         assert not (tmp_path / "steps.csv").exists()
 
+    @pytest.mark.parametrize("problem", ["disagree", "undeclared", "wrong class"])
+    def test_class_errors_name_the_evidence_pools(self, tmp_path, capsys, problem):
+        first, second = tmp_path / "first.kbr", tmp_path / "second.kbr"
+        first.write_text("#classes + -\n#evidence +\np(a).\n")
+        second.write_text({"disagree": "#classes + o\n#evidence +\np(b).\n",
+                           "undeclared": "p(b).\n",
+                           "wrong class": "#classes + -\n#evidence -\np(b).\n"}[problem])
+        if problem == "undeclared":
+            first.write_text("p(a).\n")
+        scn = tmp_path / "classes.scn"
+        scn.write_text(
+            ("consolidation_class = z\n" if problem == "wrong class" else "")
+            + "".join(f"[phase]\nsteps = 2\nevidence = {pool}\ncandidates = {pool}\n"
+                      for pool in (first, second)))
+        assert cli_main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + {
+            "disagree": "class sets disagree across pools",
+            "undeclared": "no classes declared in any evidence pool",
+            "wrong class": "consolidation_class 'z' is not a declared class"}[problem])
+        assert err.endswith(f" (evidence pools: {first}, {second})\n")
+        assert not (tmp_path / "out" / "steps.csv").exists()
+
     @pytest.mark.parametrize("command", ["parse", "run"])
     def test_non_utf8_file_exits_1(self, tmp_path, capsys, command):
         pool = tmp_path / "latin1.kbr"
