@@ -13,6 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from covkb.harness import build_oneshot_state, load_scenario
+from covkb.metrics import compute_permanence
 from covkb.rules import render_rule
 
 HERE = os.path.dirname(__file__)
@@ -21,6 +22,7 @@ SCENARIO = os.path.join(HERE, "..", "fixtures", "family", "family.scn")
 
 def show_table(state, title):
     table = state.ensure_metrics()
+    _, perm = compute_permanence(state.graph, table, state.classes)
     print(f"\n== {title}")
     print(f"{'id':>4} {'cls':>3} {'L':>8} {'S+':>8} {'S-':>8} "
           f"{'opt+':>9} {'opt-':>9} {'perm':>9}  rule")
@@ -31,7 +33,7 @@ def show_table(state, title):
             f"{state.graph.node_length(nid):>8.3f} "
             f"{table.support[nid]['+']:>8.3f} {table.support[nid]['-']:>8.3f} "
             f"{table.opt[nid]['+']:>9.3f} {table.opt[nid]['-']:>9.3f} "
-            f"{table.perm_generic[nid]:>9.3f}  {render_rule(rule)}"
+            f"{perm[nid]:>9.3f}  {render_rule(rule)}"
         )
 
 

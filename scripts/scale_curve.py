@@ -8,8 +8,9 @@ and records:
 
 - wall time per step of the plain run
 - the final node count and the `full` and `reduced` edge counts
-- cumulative cProfile seconds in `compute_table`, `insert_rule` and
-  `covers_pair`, and the number of `covers_pair` calls
+- cumulative cProfile seconds in `compute_table`, `compute_permanence`,
+  `insert_rule` and `covers_pair` (0 where a checkout lacks the function),
+  and the number of `covers_pair` calls
 - the sha256 of `steps.csv` and `state.snapshot`, which must agree
   between checkouts at each size
 
@@ -40,7 +41,7 @@ import time
 SIZES = {800: (250, 200), 3000: (1500, 600), 8000: (4000, 1500)}
 POOL_SEED = 11
 RUN_SEED = 5
-PROFILED = ("compute_table", "insert_rule", "covers_pair")
+PROFILED = ("compute_table", "compute_permanence", "insert_rule", "covers_pair")
 
 
 def measure(root: str, size: int, work: str) -> dict:

@@ -31,6 +31,7 @@ from .harness import (
 from .lifecycle import KnowledgeState, Policy, StepLog, Threshold
 from .metrics import (
     MetricsTable,
+    compute_permanence,
     compute_support,
     compute_table,
     conservation_check,
@@ -76,6 +77,7 @@ __all__ = [
     "Var",
     "build_oneshot_state",
     "canonical_form",
+    "compute_permanence",
     "compute_support",
     "compute_table",
     "conservation_check",

@@ -35,7 +35,7 @@ from .lifecycle import (
     StepLog,
     Threshold,
 )
-from .metrics import MetricsTable
+from .metrics import MetricsTable, compute_permanence
 from .parser import ParseError, parse_program, scan_classes
 from .rng import PCG64, seed_words
 from .rules import (
@@ -559,6 +559,7 @@ def metrics_csv_text(state: KnowledgeState) -> str:
     """Metrics dump: id, class, L, per-class support/lhat (support - L)/opt, generics."""
     table = state.ensure_metrics()
     classes = state.classes
+    _, perm = compute_permanence(state.graph, table, classes)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     head = ["id", "class", "L"]
@@ -576,7 +577,7 @@ def metrics_csv_text(state: KnowledgeState) -> str:
         row.extend(
             [
                 _fmt(table.opt_generic[nid]),
-                _fmt(table.perm_generic[nid]),
+                _fmt(perm[nid]),
                 "1" if rule.protected else "0",
             ]
         )

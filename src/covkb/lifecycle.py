@@ -8,7 +8,8 @@ backs deduction but never appears in the graph.
 Capacity and the forgetting fraction are interpreted over the whole graph
 population (consolidated nodes occupy working-space slots; only
 unprotected nodes are removable), so a growing consolidated set makes
-forgetting fire more often.
+forgetting fire more often.  Promotion and demotion read the metrics
+table; forgetting computes permanence from it once per forget batch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
 from .deduce import Background, CoverageConfig, CoverageOracle, VerdictStore
-from .metrics import MetricsTable, compute_table
+from .metrics import MetricsTable, compute_permanence, compute_table
 from .rules import BACKGROUND, CANDIDATE, EVIDENCE, Rule, canonical_form
 
 AVG_OPT = "avg_opt"
@@ -184,13 +185,14 @@ class KnowledgeState:
     # -- forgetting ----------------------------------------------------------
 
     def _forget_order(self, table: MetricsTable) -> List[int]:
+        _, perm = compute_permanence(self.graph, table, self.classes)
         candidates = [
             nid for nid, r in self.graph.nodes.items() if not r.protected
         ]
         return sorted(
             candidates,
             key=lambda nid: (
-                table.perm_generic[nid],
+                perm[nid],
                 -self.graph.node_length(nid),
                 -nid,
             ),

@@ -5,17 +5,16 @@ a sink of class c injects its length into class c, every node adds its
 per-class residual, and a node's support is divided equally among its
 coverers.  Optimality trades compression gain against impurity with a
 mixing factor beta; permanence discounts a rule's optimality by its best
-transitive coverer and is the forgetting priority (lowest goes first).
+transitive coverer and is the forgetting priority (lowest goes first),
+computed fresh only when a forget batch or an exporter reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph, _cone_order
-
-NEG_INF = float("-inf")
 
 ClassVector = Dict[str, float]
 
@@ -26,9 +25,6 @@ class MetricsTable:
     opt: Dict[int, ClassVector]
     opt_generic: Dict[int, float]
     argmax_class: Dict[int, str]
-    best_cov: Dict[int, ClassVector]
-    perm: Dict[int, ClassVector]
-    perm_generic: Dict[int, float]
 
 
 def _support_row(graph: CoverageGraph, nid: int, classes, support) -> ClassVector:
@@ -107,17 +103,17 @@ def compute_table(
     previous: Optional[MetricsTable] = None,
     touched: Iterable[int] = (),
 ) -> MetricsTable:
-    """The metrics of `graph`, rescoring only the rows `touched` can change.
+    """Support and optimality of `graph`, rescoring only rows `touched` can change.
 
     `previous` is the table at this beta before the mutations recorded in
     `touched` (`CoverageGraph.touched`); without it every node is a seed.
     New dicts and rows are filled, so `previous` never changes.
     """
     if previous is None:
-        previous = MetricsTable({}, {}, {}, {}, {}, {}, {})
+        previous = MetricsTable({}, {}, {}, {})
         touched = graph.nodes
     tables = [dict(getattr(previous, f.name)) for f in fields(MetricsTable)]
-    support, opt, opt_generic, argmax, best_cov, perm, perm_generic = tables
+    support, opt, opt_generic, argmax = tables
     seeds = {nid for nid in touched if nid in graph.nodes}
     for nid in set(touched) - seeds:  # removed nodes
         for table in tables:
@@ -126,37 +122,35 @@ def compute_table(
     # Leaves first over the ancestor cone: support reads the children's
     # rows and parent counts, and a seed's parent count may have changed.
     # A seed may also be a new node under a removed node's id.
-    lengths, parents = graph.lengths, graph.parents
-    opt_changed: Set[int] = set()
-    for nid in _cone_order(seeds, parents):
+    lengths = graph.lengths
+    for nid in _cone_order(seeds, graph.parents):
         row = _support_row(graph, nid, classes, support)
         if row != support.get(nid) or nid in seeds:
-            support[nid], old = row, opt.get(nid)
+            support[nid] = row
             opt[nid], opt_generic[nid], argmax[nid] = optimality_row(
                 lengths[nid], row, beta, classes
             )
-            if opt[nid] != old:
-                opt_changed.add(nid)
+    return MetricsTable(*tables)
 
-    # Parents first below: best coverer optimality per class over the
-    # reduced edges, whose reachability equals the full relation's closure.
-    dirty = seeds | opt_changed
-    for nid in _cone_order(dirty, graph.reduced):
-        if nid not in dirty:
-            continue
-        best = {c: NEG_INF for c in classes}
-        for parent in parents[nid]:
+
+def compute_permanence(
+    graph: CoverageGraph, table: MetricsTable, classes: Sequence[str]
+) -> Tuple[Dict[int, ClassVector], Dict[int, float]]:
+    """Per-node, per-class permanence and its generic max, from `table`'s
+    optimality.  Roots first, a node's best coverer optimality per class is
+    the max over its reduced parents' optimality and best coverer's: the
+    reduction's reachability equals the full relation's closure."""
+    opt, best_cov, perm, perm_generic = table.opt, {}, {}, {}
+    for nid in _cone_order(graph.nodes, graph.reduced):
+        best = dict.fromkeys(classes, float("-inf"))
+        for parent in graph.parents[nid]:
             parent_opt, parent_best = opt[parent], best_cov[parent]
             for c in classes:
                 cand = parent_opt[c] if parent_opt[c] > parent_best[c] else parent_best[c]
                 if cand > best[c]:
                     best[c] = cand
-        if best == best_cov.get(nid) and nid not in opt_changed:
-            continue
         best_cov[nid] = best
-        dirty.update(graph.reduced[nid])
         opt_row = opt[nid]
         perm[nid] = row = {c: permanence_value(opt_row[c], best[c]) for c in classes}
         perm_generic[nid] = max(row.values())
-
-    return MetricsTable(*tables)
+    return perm, perm_generic

@@ -121,6 +121,25 @@ def assert_structure_exact(g):
     assert g.desc == {v: sum(1 << w for w in reach[v]) for v in ids}
 
 
+def reference_permanence(
+    graph: CoverageGraph,
+    opt: Mapping[int, ClassVector],
+    classes: Sequence[str],
+) -> Tuple[Dict[int, ClassVector], Dict[int, float]]:
+    """Per-class permanence and its generic max, node by node: `opt` less
+    the max of `opt` over every strict ancestor (the nodes whose `desc`
+    mask holds the node), where a max below 0 or over no ancestor counts 0."""
+    perm: Dict[int, ClassVector] = {}
+    generic: Dict[int, float] = {}
+    for v in graph.nodes:
+        above = [u for u in graph.nodes if graph.desc[u] >> v & 1]
+        perm[v] = {
+            c: opt[v][c] - max([0.0] + [opt[u][c] for u in above]) for c in classes
+        }
+        generic[v] = max(perm[v].values())
+    return perm, generic
+
+
 class SizeCapExceeded(Exception):
     """The brute-force oracle refuses graphs past its size cap."""
 
@@ -378,16 +397,28 @@ def _fresh_vars():
     return lambda _: Var(f"$R{next(counter)}")
 
 
+def clashes(a: Term, b: Term) -> bool:
+    """True when no substitution can unify `a` with `b`: somewhere they hold
+    compounds (constants included) of different functor or arity."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        return False
+    return (a.functor != b.functor or len(a.args) != len(b.args)
+            or any(map(clashes, a.args, b.args)))
+
+
 def reference_join(body: Sequence[Atom], subst, store: ReferenceStore, fresh,
                    delta: Set[int] = frozenset(), i: int = 0, used: bool = False) -> Iterator:
-    """The whole-store join: every stored fact of the predicate is renamed
-    apart and unified with `body[i]`.  Yields (subst, used): `used` says some
-    joined fact has its id in `delta`."""
+    """The whole-store join: every stored fact of the predicate whose
+    constants do not clash with `body[i]`'s is renamed apart and unified
+    with it.  Yields (subst, used): `used` says some joined fact has its id
+    in `delta`."""
     if i == len(body):
         yield subst, used
         return
     pattern = apply_subst_atom(body[i], subst)
     for fact in store.by_pred.get(pattern.key, []):
+        if any(map(clashes, pattern.args, fact.args)):
+            continue
         nxt = unify_atoms(pattern, rename_atom(fact, {}, fresh), subst)
         if nxt is not None:
             yield from reference_join(body, nxt, store, fresh, delta, i + 1,

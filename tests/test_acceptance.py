@@ -22,6 +22,7 @@ from covkb.deduce import (
 )
 from covkb.harness import load_grid, load_scenario, run_grid, run_scenario, write_heatmap_csv
 from covkb.metrics import (
+    compute_permanence,
     compute_support,
     conservation_check,
     optimality_row,
@@ -251,19 +252,19 @@ def test_05_residual_mechanics():
 def test_06_family_forgetting_narrative():
     state = family_state()
     ids = table_id_map(state)
-    table = state.ensure_metrics()
+    _, perm = compute_permanence(state.graph, state.ensure_metrics(), state.classes)
     weak = ids[59]
     others = [
-        table.perm_generic[nid]
+        perm[nid]
         for nid in state.graph.nodes
         if nid != weak and not state.graph.nodes[nid].protected
     ]
-    strictly_minimal = table.perm_generic[weak] < min(others)
+    strictly_minimal = perm[weak] < min(others)
     removed = state.forget_step()
     report(
         6,
         strictly_minimal and removed[0] == weak,
-        f"perm {table.perm_generic[weak]:.3f} vs next {min(others):.3f}",
+        f"perm {perm[weak]:.3f} vs next {min(others):.3f}",
     )
 
 

@@ -25,7 +25,7 @@ from covkb.deduce import (
     match_atom,
 )
 from covkb.lifecycle import KnowledgeState
-from covkb.metrics import compute_table
+from covkb.metrics import compute_permanence, compute_table
 from covkb.parser import parse_program
 from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, rule_length
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     graph_from_structure,
     node_rule,
     reference_full,
+    reference_permanence,
 )
 
 
@@ -508,6 +509,11 @@ class TestMutationInvariants:
             assert g.lengths == {nid: rule_length(r) for nid, r in g.nodes.items()}
             # local cycle repair leaves the relation a global pass would
             assert reference_full(g.nodes.values(), oracle) == g.full
+            # permanence of the current graph; a fresh table, so mutations
+            # still pile up for the held one between "score" ops
+            fresh = compute_table(g, state.policy.beta, state.classes)
+            assert compute_permanence(g, fresh, state.classes) == reference_permanence(
+                g, fresh.opt, state.classes)
 
     def test_replace_rule_only_flips_protection(self):
         g = graph_from_structure({1: (None, 2.0)}, [])

@@ -8,6 +8,7 @@ from covkb.harness import (
     ConfigError,
     PhaseConfig,
     ScenarioConfig,
+    build_oneshot_state,
     derive_cell_seed,
     export_dot,
     load_grid,
@@ -26,6 +27,7 @@ from conftest import CHESS_DIR, FAMILY_KBR, FAMILY_SCN
 from oracles import graph_from_structure
 
 CHESS_SCN = os.path.join(CHESS_DIR, "chess.scn")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FAMILY_POOLS = "".join(
     f"{key} = {FAMILY_KBR}\n" for key in ("background", "evidence", "candidates")
 )
@@ -184,6 +186,17 @@ class TestExports:
         lines = text.strip().split("\n")
         assert lines[0].split(",")[:3] == ["id", "class", "L"]
         assert len(lines) == 13  # header + 12 nodes
+
+    @pytest.mark.parametrize("name", ["family", "chess"])
+    def test_metrics_csv_matches_golden_bytes(self, name):
+        # `covkb metrics` is the only output that prints permanence; the
+        # golden files were recorded with the incrementally kept permanence,
+        # so they pin the on-demand pass to it byte for byte.
+        scenario = {"family": FAMILY_SCN, "chess": CHESS_SCN}[name]
+        golden = os.path.join(GOLDEN_DIR, f"{name}_metrics.csv")
+        with open(golden, encoding="utf-8", newline="") as fh:
+            want = fh.read()
+        assert metrics_csv_text(build_oneshot_state(load_scenario(scenario))) == want
 
 
 class TestGrid:

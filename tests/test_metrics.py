@@ -4,6 +4,7 @@ import random
 import pytest
 
 from covkb.metrics import (
+    compute_permanence,
     compute_support,
     compute_table,
     conservation_check,
@@ -170,11 +171,12 @@ class TestPermanence:
     def test_family_table(self, family):
         state, ids = family
         t = compute_table(state.graph, 0.5, CLASSES)
-        assert t.perm_generic[ids[110]] == pytest.approx(10.172, abs=1e-3)
-        assert t.perm_generic[ids[73]] == pytest.approx(-6.0346, abs=1e-3)
-        assert t.perm_generic[ids[35]] == pytest.approx(-4.642, abs=1e-3)
+        _, perm = compute_permanence(state.graph, t, CLASSES)
+        assert perm[ids[110]] == pytest.approx(10.172, abs=1e-3)
+        assert perm[ids[73]] == pytest.approx(-6.0346, abs=1e-3)
+        assert perm[ids[35]] == pytest.approx(-4.642, abs=1e-3)
         # the chained ground rule is strictly the weakest node
-        worst = min(t.perm_generic, key=t.perm_generic.get)
+        worst = min(perm, key=perm.get)
         assert worst == ids[59]
 
     def test_transitive_not_just_direct(self):
@@ -183,10 +185,10 @@ class TestPermanence:
             {1: (None, 1.0), 2: (None, 30.0), 3: ("+", 9.0)},
             [(1, 2), (2, 3)],
         )
-        t = compute_table(g, 1.0, ("+",))
+        perm, _ = compute_permanence(g, compute_table(g, 1.0, ("+",)), ("+",))
         # opt(+): node1 = 9-1 = 8, node2 = 9-30 = -21, leaf = 0.
         # Only the transitive reading discounts the leaf by node1's 8.
-        assert t.perm[3]["+"] == pytest.approx(-8.0)
+        assert perm[3]["+"] == pytest.approx(-8.0)
 
 
 class TestBruteForceOracle:
@@ -231,12 +233,14 @@ class TestScaleCovariance:
         state, _ = family
         k = 3.5
         base = compute_table(state.graph, 0.5, CLASSES)
+        base_perm, _ = compute_permanence(state.graph, base, CLASSES)
         graph = copy.copy(state.graph)
         graph.lengths = {nid: length * k for nid, length in graph.lengths.items()}
         scaled = compute_table(graph, 0.5, CLASSES)
+        scaled_perm, _ = compute_permanence(graph, scaled, CLASSES)
         for nid in state.graph.nodes:
             for c in CLASSES:
                 assert scaled.support[nid][c] == pytest.approx(k * base.support[nid][c])
                 assert scaled.opt[nid][c] == pytest.approx(k * base.opt[nid][c])
-                assert scaled.perm[nid][c] == pytest.approx(k * base.perm[nid][c])
+                assert scaled_perm[nid][c] == pytest.approx(k * base_perm[nid][c])
             assert scaled.argmax_class[nid] == base.argmax_class[nid]

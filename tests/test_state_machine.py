@@ -3,8 +3,8 @@
 Ingest, steps, forget batches, promotion, demotion and beta changes run in
 any order; promotions and demotions change the oracle's background.  After
 every rule the graph must be acyclic with its reduction and parent sets
-exact, the cached metrics must equal a fresh pass and support must be
-conserved.
+exact, the cached metrics must equal a fresh pass, permanence must equal
+the ancestor-by-ancestor reference and support must be conserved.
 """
 
 import os
@@ -16,12 +16,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from covkb.deduce import VerdictStore
 from covkb.lifecycle import AVG_OPT_CLAMPED, FIXED, KnowledgeState, Policy, Threshold
-from covkb.metrics import compute_table, conservation_check
+from covkb.metrics import compute_permanence, compute_table, conservation_check
 from covkb.parser import parse_program
 from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE
 
 from conftest import CHESS_DIR
-from oracles import assert_structure_exact
+from oracles import assert_structure_exact, reference_permanence
 
 
 def _pool(name, origin):
@@ -85,6 +85,8 @@ class LifecycleMachine(RuleBasedStateMachine):
         state = self.state
         table = state.ensure_metrics()
         assert table == compute_table(state.graph, state.policy.beta, state.classes)
+        assert compute_permanence(state.graph, table, state.classes) == reference_permanence(
+            state.graph, table.opt, state.classes)
         balance = conservation_check(state.graph, table.support, state.classes)
         assert max(balance.values()) <= 1e-9
 

@@ -1,9 +1,10 @@
 """Work counts of covkb's traced functions on three benchmark units.
 
 Each unit runs under perfbench's tracer, which wraps the library's public
-functions from outside it, and its call counts must equal those recorded
-in WORKCOUNTS.json (see scripts/workcounts.py), as test_references.py
-checks output bytes.  A change that moves a count re-records the file.
+functions from outside it, with the script's own wrappers around the
+metrics and graph internals beside it.  Its call and work counts must
+equal those recorded in WORKCOUNTS.json (see scripts/workcounts.py), as
+test_references.py checks output bytes.  A change that moves a count re-records the file.
 """
 
 import json
