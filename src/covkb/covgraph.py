@@ -98,9 +98,12 @@ def _cone_order(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> Li
 class CoverageGraph:
     """Mutable coverage DAG owned by a single knowledge-base instance.
 
-    `lengths` holds each node's description length, computed once when the
-    node enters (`rule_length`, so `length_override` wins), and `forms` its
-    head forms (`CoverageOracle.head_forms`), likewise.  `desc` holds
+    `lengths` holds each node's description length (`rule_length`, so
+    `length_override` wins) and `forms` its head forms
+    (`CoverageOracle.head_forms`).  Both come from the oracle's clause record
+    (`CoverageOracle.record`), so they are computed once per canonical key
+    and length override, not once per node: a clause that is forgotten and
+    arrives again under a new id reuses them.  `desc` holds
     each node's strict descendants over `full` as a bitmask.  `touched`
     holds, until the metrics owner takes it, each node whose support inputs
     (reduced children, their parent counts, residuals) changed, and each
@@ -166,7 +169,7 @@ class CoverageGraph:
     def insert_rule(self, rule: Rule, oracle: CoverageOracle) -> None:
         if rule.id in self.nodes:
             raise GraphError(f"node id {rule.id} already present")
-        forms = oracle.head_forms(rule)
+        length, forms = oracle.record(rule, lambda: (rule_length(rule), oracle.head_forms(rule)))
         nodes = self.nodes
         pairs_out: Set[int] = set()
         if rule.origin != EVIDENCE:
@@ -180,7 +183,7 @@ class CoverageGraph:
             other for other in sorted(coverers, key=coverers.__getitem__)  # node order
             if oracle.covers_pair(nodes[other], rule)
         }
-        self._add_node(rule, pairs_out, forms)
+        self._add_node(rule, pairs_out, length, forms)
         for other_id in pairs_in:
             self.full[other_id].add(rule.id)
         # The graph was acyclic, so the only cycle an insert can close runs
@@ -245,9 +248,11 @@ class CoverageGraph:
 
     # -- internals -----------------------------------------------------------
 
-    def _add_node(self, rule: Rule, covered: Set[int], forms: Tuple[Hashable, ...]) -> None:
+    def _add_node(
+        self, rule: Rule, covered: Set[int], length: float, forms: Tuple[Hashable, ...]
+    ) -> None:
         self.nodes[rule.id] = rule
-        self.lengths[rule.id] = rule_length(rule)
+        self.lengths[rule.id] = length
         self.forms[rule.id] = forms
         seq, self._inserted = self._inserted, self._inserted + 1
         if rule.origin != EVIDENCE:

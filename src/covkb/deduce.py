@@ -583,10 +583,13 @@ class VerdictStore:
     theta-subsumption rows and, per background fact set (its fingerprint),
     the raw fact store with the rows of generals fired against it.  Also
     the forms `general_fires` reads, made once per canonical key: each
-    general's flat clause and each specific's flat skolemized goal."""
+    general's flat clause and each specific's flat skolemized goal.  And
+    `records`, one clause record per canonical key and length override:
+    what a graph derives from the clause when it enters."""
 
     def __init__(self):
         self.subsumes: Rows = {}
+        self.records: Dict[Tuple[str, Optional[float]], tuple] = {}
         self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Rows]] = {}
         self._clauses: Dict[str, Clause] = {}
         self._goals: Dict[str, tuple] = {}
@@ -610,16 +613,18 @@ class VerdictStore:
 class CoverageOracle:
     """Caching front-end for pairwise coverage during graph maintenance.
 
-    Verdicts are cached by canonical rule text, one row per general, so
-    re-arrivals of the same clause under fresh ids stay cheap.  `keys` maps
-    rule ids to that text where the caller has already computed it; other
-    rules are canonicalised on each call.  Subsumption verdicts, and those
-    of generals whose bodies only mention predicates no background clause
-    can derive (fired against the raw background facts), depend on content
-    alone and live in `verdicts`, which callers may share.  Other generals
-    fire against one saturated store that `set_background` grows in place;
-    `extend_closure` restarts its round budget, so that store depends on the
-    order of changes and its verdicts are per oracle, dropped on each change.
+    Verdicts are cached by canonical rule text, one row per general, and so
+    is each clause's record (`record`), so re-arrivals of the same clause
+    under fresh ids stay cheap.  `keys` maps rule ids to that text where the
+    caller has already computed it; other rules are canonicalised on each
+    call.  Subsumption verdicts, and those of generals whose bodies only
+    mention predicates no background clause can derive (fired against the
+    raw background facts), depend on content alone and live in `verdicts`,
+    which callers may share.  Other generals fire against one saturated
+    store that `set_background` grows in place; `extend_closure` restarts its
+    round budget, so that store depends on the order of changes and its
+    verdicts are per oracle, dropped on each change, as is the choice
+    between the two stores, made once per general's key.
 
     `head_forms` gives a rule's head key and the keys of every general that
     may cover it; a pair whose keys do not match is not covered.  Such a
@@ -640,6 +645,7 @@ class CoverageOracle:
         self.warnings: List[str] = []
         self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
         self._saturated_rows: Rows = {}
+        self._saturating: Dict[str, bool] = {}
         self._saturated: Optional[FactStore] = None
         self._saturated_failed = False
 
@@ -648,6 +654,7 @@ class CoverageOracle:
         self.bg = bg
         self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
         self._saturated_rows = {}
+        self._saturating = {}
         if (
             self._saturated is not None
             and not self._saturated_failed
@@ -680,6 +687,15 @@ class CoverageOracle:
     def head_forms(self, rule: Rule) -> Tuple[Hashable, ...]:
         return head_forms(rule.head)
 
+    def record(self, rule: Rule, make: Callable[[], tuple]) -> tuple:
+        """`rule`'s clause record in `verdicts`, built by `make` on the first
+        ask for its canonical key and length override."""
+        key = (self.canon(rule), rule.length_override)
+        found = self.verdicts.records.get(key)
+        if found is None:
+            found = self.verdicts.records[key] = make()
+        return found
+
     def _saturated_store(self) -> Optional[FactStore]:
         if self._saturated is None and not self._saturated_failed:
             try:
@@ -693,32 +709,24 @@ class CoverageOracle:
         derivable = self.bg.derivable_preds
         return bool(derivable) and any(a.key in derivable for a in general.body)
 
-    def mode_for(self, specific: Rule) -> str:
-        if specific.origin == EVIDENCE:
-            return self.cfg.rule_evidence_mode
-        return self.cfg.rule_rule_mode
-
     def covers_pair(self, general: Rule, specific: Rule) -> bool:
-        mode = self.mode_for(specific)
+        cfg = self.cfg
+        mode = cfg.rule_evidence_mode if specific.origin == EVIDENCE else cfg.rule_rule_mode
+        if mode != SUBSUMPTION and not specific.is_fact:
+            return covers(
+                self.bg, general, specific, mode=mode, limits=cfg.limits, on_warning=self._warn)
+        keys = self.keys
+        gkey = keys.get(general.id) or canonical_form(general)
+        key = keys.get(specific.id) or canonical_form(specific)
         if mode == SUBSUMPTION:
             rows = self.verdicts.subsumes
-        elif not specific.is_fact:
-            return covers(
-                self.bg,
-                general,
-                specific,
-                mode=mode,
-                limits=self.cfg.limits,
-                on_warning=self._warn,
-            )
-        elif self._needs_saturation(general):
-            rows = self._saturated_rows
         else:
-            rows = self._facts_rows
-        gkey = self.canon(general)
-        row = rows.setdefault(gkey, {})
-        key = self.canon(specific)
-        hit = row.get(key)
+            saturating = self._saturating.get(gkey)
+            if saturating is None:
+                saturating = self._saturating[gkey] = self._needs_saturation(general)
+            rows = self._saturated_rows if saturating else self._facts_rows
+        row = rows.get(gkey)
+        hit = None if row is None else row.get(key)
         if hit is None:
             if mode == SUBSUMPTION:
                 hit = theta_subsumes(general, specific)
@@ -732,5 +740,7 @@ class CoverageOracle:
                     store = None  # the head cannot match: saturate nothing
                 hit = store is not None and general_fires(
                     *self.verdicts.forms(gkey, general, key, specific), store)
+            if row is None:
+                row = rows[gkey] = {}
             row[key] = hit
         return hit

@@ -28,6 +28,9 @@ class _EdgeListOracle:
     def head_forms(self, rule: Rule) -> Tuple[None]:
         return (None,)  # one key for every rule: every pair is asked
 
+    def record(self, rule: Rule, make):
+        return make()  # no records kept: every node computes its own
+
 
 def graph_from_structure(
     specs: Mapping[int, Tuple[Optional[str], float]],
@@ -461,6 +464,25 @@ def reference_extend_closure(store: ReferenceStore, all_clauses: Sequence[Rule],
                 delta.append(atom)
     if delta:
         raise LimitExceeded("round cap reached before fixpoint")
+
+
+def reference_naive_closure(clauses: Sequence[Rule], facts: Sequence[Atom],
+                            limits: DeriveLimits) -> ReferenceStore:
+    """The fixpoint by naive rounds, with no delta: each round joins every
+    clause over the whole store and adds every head.  The round and fact
+    caps count as in `deduce.extend_closure`."""
+    store = ReferenceStore()
+    for atom in facts:
+        store.add(atom)
+    fresh = _fresh_vars()
+    for _ in range(limits.max_depth):
+        heads = [h for c in clauses for h in reference_fire(c, store, None, fresh, limits)]
+        new = [h for h in heads if store.add(h)]
+        if not new:
+            return store
+        if store.count > limits.max_facts:
+            raise LimitExceeded("derived fact count exceeds max_facts")
+    raise LimitExceeded("round cap reached before fixpoint")
 
 
 def reference_general_fires(general: Rule, goal: Atom, store: ReferenceStore) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from covkb import covgraph
 from covkb.covgraph import (
     CoverageGraph,
     GraphError,
@@ -27,7 +28,7 @@ from covkb.deduce import (
 from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_permanence, compute_table
 from covkb.parser import parse_program
-from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, rule_length
+from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, canonical_form, rule_length
 from oracles import (
     _EdgeListOracle,
     assert_structure_exact,
@@ -328,6 +329,47 @@ def test_insert_isolated_evidence(family):
     state.graph.insert_rule(ev, state.oracle)
     assert state.graph.anc(500) == set()
     assert state.graph.suc(500) == set()
+
+
+class TestClauseRecord:
+    """A node's length and head forms come from the oracle's record of its
+    canonical key and length override, made once and kept across removals."""
+
+    @staticmethod
+    def count_lengths(monkeypatch):
+        made = []
+        monkeypatch.setattr(covgraph, "rule_length", lambda r: made.append(r) or rule_length(r))
+        return made
+
+    def test_reinserted_clause_matches_a_fresh_computation(self, family, monkeypatch):
+        state, _ = family
+        g, oracle = state.graph, state.oracle
+        rules = list(g.nodes.values())
+        for rule in rules:
+            g.remove_rule(rule.id)
+        made = self.count_lengths(monkeypatch)
+        for rule in rules:
+            again = replace(rule, id=rule.id + 1000)
+            g.insert_rule(again, oracle)
+            assert g.lengths[again.id] == rule_length(again)
+            assert g.forms[again.id] == oracle.head_forms(again)
+        assert made == []  # every record was made when the family first entered
+
+    def test_each_length_override_keeps_its_own_length(self, monkeypatch):
+        oracle = CoverageOracle(Background([]), CoverageConfig())
+        rules = parse_program("p(X) :- q(X).\n#length 3\np(Y) :- q(Y).\n#length 5\np(Z) :- q(Z).")
+        assert len({canonical_form(r) for r in rules}) == 1
+        assert [r.length_override for r in rules] == [None, 3.0, 5.0]
+        made = self.count_lengths(monkeypatch)
+        g = CoverageGraph()
+        for cycle in range(3):  # arrive, be forgotten, arrive again under new ids
+            for rule in rules[:: -1 if cycle % 2 else 1]:
+                g.insert_rule(replace(rule, id=rule.id + 10 * cycle), oracle)
+            assert {nid % 10: g.lengths[nid] for nid in g.nodes} == {
+                r.id: rule_length(r) for r in rules}
+            for nid in list(g.nodes):
+                g.remove_rule(nid)
+        assert made == rules  # one length per override
 
 
 # Theta-equivalent clauses (the first three; the two `r` orderings) make

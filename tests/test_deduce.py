@@ -31,7 +31,7 @@ from covkb.rules import (
 from conftest import CHESS_DIR, FAMILY_KBR
 from oracles import (
     ReferenceStore, derives_goal, is_ground, is_variant, reference_add, reference_depth,
-    reference_extend_closure, reference_general_fires, reference_resolve,
+    reference_extend_closure, reference_general_fires, reference_naive_closure, reference_resolve,
     same_facts_modulo_variants, stored_atoms, term_of, unify_atoms,
 )
 
@@ -772,13 +772,31 @@ class TestCompiledForms:
             assert first is second == flat_clause(twins[0])
         assert 0 < counts[0] < counts[1]
 
-    def test_synth_pool_pairs(self):
+    @staticmethod
+    def synth_pool():
         files = synth.generate(1, synth.SIZE)
-        pool = {name: [with_id(r, 10_000 * n + i)
+        return {name: [with_id(r, 10_000 * n + i)
                        for i, r in enumerate(parse_program(files[f"{name}.kbr"]))]
                 for n, name in enumerate(("background", "evidence", "candidates"))}
+
+    def test_synth_pool_pairs(self):
+        pool = self.synth_pool()
         _, covered = self.check(Background(pool["background"]), pool["candidates"],
                                 pool["evidence"])
+        assert covered > 0
+
+    def test_synth_pool_with_a_recursive_clause(self):
+        # A transitive p0 takes saturation through several rounds, so each
+        # round after the first joins the clause against a delta, at both
+        # body positions: the store must equal the naive fixpoint.
+        pool = self.synth_pool()
+        transitive = with_id(one("p0(X,Z) :- p0(X,Y), p0(Y,Z)."), 9_999)
+        bg = Background([*pool["background"], transitive])
+        want = reference_naive_closure(bg.clauses, bg.facts, DeriveLimits())
+        assert len(want.by_pred[("p0", 2)]) > 2 * len(bg.facts) // synth.N_PREDICATES
+        assert same_facts_modulo_variants(stored_atoms(deduce.forward_closure(bg)), want.atoms())
+        # the generals that read p0 fire against that saturated store
+        _, covered = self.check(bg, pool["candidates"][::8], pool["evidence"])
         assert covered > 0
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from covkb import covgraph
 from covkb.cli import main as cli_main
 from covkb.harness import (
     ConfigError,
@@ -21,7 +22,7 @@ from covkb.harness import (
 )
 from covkb.metrics import compute_table
 from covkb.rng import PCG64
-from covkb.rules import canonical_form
+from covkb.rules import canonical_form, rule_length
 
 from conftest import CHESS_DIR, FAMILY_KBR, FAMILY_SCN
 from oracles import graph_from_structure
@@ -254,6 +255,28 @@ class TestGrid:
 
         assert not failures
         assert rows == expected(small.base_seed) != expected(small.base.seed)
+
+    def test_cells_share_one_clause_record_per_key(self, monkeypatch):
+        # The cells share one verdict store, so a clause's length is made
+        # once however many cells insert it, and however often.
+        inserts, lengths = [], []
+        insert_rule = covgraph.CoverageGraph.insert_rule
+
+        def counted_length(rule):
+            lengths.append((canonical_form(rule), rule.length_override))
+            return rule_length(rule)
+
+        def counted_insert(graph, rule, oracle):
+            inserts.append(rule.id)
+            return insert_rule(graph, rule, oracle)
+
+        monkeypatch.setattr(covgraph, "rule_length", counted_length)
+        monkeypatch.setattr(covgraph.CoverageGraph, "insert_rule", counted_insert)
+        small = self.small_grid(60, capacities=(20, 30), fractions=(0.25, 0.5))
+        rows, failures = run_grid(small, jobs=1)
+        assert not failures and rows
+        assert len(lengths) == len(set(lengths))
+        assert 0 < len(lengths) < len(inserts) // 4
 
     def test_cell_failure_is_recorded_and_grid_continues(self):
         # A GridConfig built in code bypasses load_grid's range checks.
