@@ -27,7 +27,9 @@ resolved in one walk (`_build`) that also gives its depth and whether it
 is ground, so a ground fact is stored without building a shape.
 `general_fires` takes a flat clause and goal, which the oracle's
 `VerdictStore` makes once per canonical key.  All searches are bounded
-by `DeriveLimits`.
+by `DeriveLimits`.  The oracle settles most misses without a matcher: a
+signature gate before `theta_subsumes`, and firing verdicts shared by
+goals whose bindings of the general's body variables agree.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .rules import (
     Term,
     Var,
     canonical_form,
+    iter_terms,
     rename_atom,
 )
 
@@ -174,11 +177,6 @@ def head_forms(atom: Atom) -> Tuple[Tuple, ...]:
         for a in atom.args[:KEY_POSITIONS]
     ]
     return tuple((atom.pred, atom.arity, *s) for s in product(*shapes))
-
-
-def heads_may_match(general: Atom, specific: Atom) -> bool:
-    """False only when `match_atom(general, specific, {})` fails."""
-    return head_forms(general)[0] in head_forms(specific)
 
 
 def theta_subsumes(general: Rule, specific: Rule) -> bool:
@@ -563,9 +561,9 @@ def covers(
         return theta_subsumes(general, specific)
     if mode != DERIVATION:
         raise ValueError(f"unknown coverage mode {mode!r}")
-    if not heads_may_match(general.head, specific.head):
-        return False
     goal, body_facts = skolemize(specific)
+    if not _match(flat_atom(general.head), flat_atom(goal), {}):
+        return False
     try:
         store = forward_closure(bg, body_facts, limits)
     except LimitExceeded as exc:
@@ -576,38 +574,65 @@ def covers(
 
 
 Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> verdict
+Shared = Dict[tuple, bool]  # (canonical general, *its body variables' bindings) -> verdict
+
+
+def _subterms(atoms: Iterable[Atom]) -> Iterator[Term]:
+    return (t for a in atoms for arg in a.args for t in iter_terms(arg))
 
 
 class VerdictStore:
     """Verdicts that depend on content alone, so any oracles may share them:
     theta-subsumption rows and, per background fact set (its fingerprint),
-    the raw fact store with the rows of generals fired against it.  Also
-    the forms `general_fires` reads, made once per canonical key: each
-    general's flat clause and each specific's flat skolemized goal.  And
+    the raw fact store with the rows of generals fired against it and,
+    living exactly as long, their verdicts shared per projection.  Also,
+    made once per canonical key: each general's flat clause and body
+    variables, each specific's flat skolemized goal, each `signature`.  And
     `records`, one clause record per canonical key and length override:
     what a graph derives from the clause when it enters."""
 
     def __init__(self):
         self.subsumes: Rows = {}
         self.records: Dict[Tuple[str, Optional[float]], tuple] = {}
-        self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Rows]] = {}
-        self._clauses: Dict[str, Clause] = {}
+        self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Tuple[Rows, Shared]]] = {}
+        self._clauses: Dict[str, Tuple[Clause, Tuple[str, ...]]] = {}
         self._goals: Dict[str, tuple] = {}
+        self._signatures: Dict[str, int] = {}
+        self._symbols: Dict[Hashable, int] = {}
 
-    def for_facts(self, bg: Background) -> Tuple[FactStore, Rows]:
+    def for_facts(self, bg: Background) -> Tuple[FactStore, Tuple[Rows, Shared]]:
         entry = self._by_facts.get(bg.fingerprint)
         if entry is None:
             store = FactStore()
             for fact in map(flat_atom, bg.facts):
                 store.add(fact, _ground(fact))
-            entry = self._by_facts[bg.fingerprint] = (store, {})
+            entry = self._by_facts[bg.fingerprint] = (store, ({}, {}))
         return entry
 
-    def forms(self, gkey: str, general: Rule, skey: str, specific: Rule) -> Tuple[Clause, tuple]:
-        """`general`'s flat clause and `specific`'s goal, under their keys."""
-        return (self._clauses.get(gkey) or self._clauses.setdefault(gkey, flat_clause(general)),
-                self._goals.get(skey) or self._goals.setdefault(
-                    skey, flat_atom(skolemize(specific)[0])))
+    def forms(self, gkey: str, general: Rule, skey: str, specific: Rule
+              ) -> Tuple[Clause, Tuple[str, ...], tuple]:
+        """`general`'s flat clause and body variables, and `specific`'s goal."""
+        made = self._clauses.get(gkey)
+        if made is None:
+            made = self._clauses[gkey] = (flat_clause(general), tuple(dict.fromkeys(
+                t.name for t in _subterms(general.body) if type(t) is Var)))
+        return (*made, self._goals.get(skey) or self._goals.setdefault(
+            skey, flat_atom(skolemize(specific)[0])))
+
+    def signature(self, key: str, rule: Rule) -> int:
+        """`rule`'s symbols, one interned bit each: its body predicate keys
+        and every constant or functor with its arity, the head's included.
+        theta maps only variables, so `theta_subsumes(g, s)` needs
+        `signature(g) & ~signature(s) == 0`."""
+        sig = self._signatures.get(key)
+        if sig is None:
+            bits, sig = self._symbols, 0
+            functors = [f"{t.functor}/{len(t.args)}" for t in _subterms(rule.atoms())
+                        if type(t) is Compound]
+            for symbol in [a.key for a in rule.body] + functors:
+                sig |= 1 << bits.setdefault(symbol, len(bits))
+            self._signatures[key] = sig
+        return sig
 
 
 class CoverageOracle:
@@ -624,7 +649,10 @@ class CoverageOracle:
     store that `set_background` grows in place; `extend_closure` restarts its
     round budget, so that store depends on the order of changes and its
     verdicts are per oracle, dropped on each change, as is the choice
-    between the two stores, made once per general's key.
+    between the two stores, made once per general's key.  A subsumption
+    miss reads the keys' signatures first; a firing miss matches the head,
+    then the verdict shared by the general's key and the bindings of its
+    body variables, kept in a table that lives exactly as long as its rows.
 
     `head_forms` gives a rule's head key and the keys of every general that
     may cover it; a pair whose keys do not match is not covered.  Such a
@@ -643,8 +671,8 @@ class CoverageOracle:
         self.keys: Mapping[int, str] = {} if keys is None else keys
         self.verdicts = VerdictStore() if verdicts is None else verdicts
         self.warnings: List[str] = []
-        self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
-        self._saturated_rows: Rows = {}
+        self._raw_store, self._facts_tables = self.verdicts.for_facts(bg)
+        self._saturated_tables: Tuple[Rows, Shared] = ({}, {})
         self._saturating: Dict[str, bool] = {}
         self._saturated: Optional[FactStore] = None
         self._saturated_failed = False
@@ -652,8 +680,8 @@ class CoverageOracle:
     def set_background(self, bg: Background) -> None:
         old = self.bg
         self.bg = bg
-        self._raw_store, self._facts_rows = self.verdicts.for_facts(bg)
-        self._saturated_rows = {}
+        self._raw_store, self._facts_tables = self.verdicts.for_facts(bg)
+        self._saturated_tables = ({}, {})
         self._saturating = {}
         if (
             self._saturated is not None
@@ -724,22 +752,22 @@ class CoverageOracle:
             saturating = self._saturating.get(gkey)
             if saturating is None:
                 saturating = self._saturating[gkey] = self._needs_saturation(general)
-            rows = self._saturated_rows if saturating else self._facts_rows
+            rows, shared = self._saturated_tables if saturating else self._facts_tables
         row = rows.get(gkey)
         hit = None if row is None else row.get(key)
         if hit is None:
             if mode == SUBSUMPTION:
+                if self.verdicts.signature(gkey, general) & ~self.verdicts.signature(key, specific):
+                    return False  # in no row: redoing the gate costs less than keeping it
                 hit = theta_subsumes(general, specific)
             else:
-                # Shared closures: nothing specific-side to assert.
-                if rows is self._facts_rows:
-                    store = self._raw_store
-                elif heads_may_match(general.head, specific.head):
-                    store = self._saturated_store()
-                else:
-                    store = None  # the head cannot match: saturate nothing
-                hit = store is not None and general_fires(
-                    *self.verdicts.forms(gkey, general, key, specific), store)
+                # A fact asserts nothing, so stores are shared; `view` is False if the head fails
+                clause, names, goal = self.verdicts.forms(gkey, general, key, specific)
+                view = _match(clause[0], goal, subst := {}) and (gkey, *map(subst.get, names))
+                hit = view and shared.get(view)
+                if hit is None:
+                    store = self._saturated_store() if saturating else self._raw_store
+                    hit = shared[view] = store is not None and general_fires(clause, goal, store)
             if row is None:
                 row = rows[gkey] = {}
             row[key] = hit

@@ -646,6 +646,87 @@ class TestOracle:
         assert oracle.covers_pair(general, ev)
 
 
+@st.composite
+def clause_pairs(draw):
+    """A general and a specific over shared constants and functors: half the
+    time an instance of the general with its body shuffled and grown, so
+    theta-subsumption holds, otherwise an unrelated clause."""
+    names = ("X", "Y", "Z")
+    head, *body = draw(st.lists(atoms(names, 3), min_size=1, max_size=4))
+    general = Rule(1, head, tuple(body))
+    if draw(st.booleans()):
+        binding = {n: draw(terms(names, 3)) for n in names}
+        s_head, *s_body = (substituted(a, binding) for a in general.atoms())
+        s_body += draw(st.lists(atoms(names, 3), max_size=2))
+        return general, Rule(2, s_head, tuple(draw(st.permutations(s_body)))), True
+    s_head, *s_body = draw(st.lists(atoms(names, 3), min_size=1, max_size=4))
+    return general, Rule(2, s_head, tuple(s_body)), False
+
+
+class TestSubsumptionGate:
+    """`VerdictStore.signature` may only rule out pairs theta-subsumption
+    rejects, and the oracle's subsumption verdicts stay `theta_subsumes`."""
+
+    def test_every_fixture_and_synth_pair(self):
+        paths = [FAMILY_KBR, *(os.path.join(CHESS_DIR, n) for n in sorted(os.listdir(CHESS_DIR)))]
+        rules = [r for path in paths if path.endswith(".kbr") for r in parse_file(path)]
+        rules += [r for pool in TestCompiledForms.synth_pool().values() for r in pool]
+        rules, verdicts = [with_id(r, i) for i, r in enumerate(rules)], VerdictStore()
+        sigs = [verdicts.signature(canonical_form(r), r) for r in rules]
+        by_head = {}
+        for i, r in enumerate(rules):
+            by_head.setdefault(r.head.key, []).append(i)
+        # theta_subsumes matches the heads first, so a pair of two head
+        # predicates holds nowhere; every other ordered pair is checked.
+        gated = 0
+        for group in by_head.values():
+            for i in group:
+                for j in group:
+                    if sigs[i] & ~sigs[j]:
+                        gated += 1
+                        assert not theta_subsumes(rules[i], rules[j]), (rules[i], rules[j])
+        assert gated > 0.9 * sum(len(g) ** 2 for g in by_head.values())
+        # the oracle, on the fixture pairs of one head predicate and a sample
+        # of the synth candidates
+        cfg = CoverageConfig(rule_evidence_mode=SUBSUMPTION)
+        oracle = CoverageOracle(Background([]), cfg, verdicts=verdicts)
+        held = 0
+        for key, group in by_head.items():
+            sample = [rules[i] for i in (group[::10] if key == ("t", 2) else group)]
+            for general in sample:
+                for specific in sample:
+                    want = theta_subsumes(general, specific)
+                    held += want and general is not specific
+                    assert oracle.covers_pair(general, specific) == want, (general, specific)
+        assert held > 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(clause_pairs())
+    def test_random_pairs(self, pair):
+        general, specific, instance = pair
+        verdicts = VerdictStore()
+        held = theta_subsumes(general, specific)
+        assert held or not instance
+        if held:
+            sig = verdicts.signature
+            assert not sig(canonical_form(general), general) & ~sig(canonical_form(specific),
+                                                                   specific)
+        oracle = CoverageOracle(Background([]), CoverageConfig(), verdicts=verdicts)
+        assert oracle.covers_pair(general, specific) == held
+
+    def test_a_pair_only_constants_rule_out_runs_no_matcher(self, monkeypatch):
+        calls = []
+        real = deduce.theta_subsumes
+        monkeypatch.setattr(deduce, "theta_subsumes", lambda g, s: calls.append(g) or real(g, s))
+        oracle = CoverageOracle(Background([]), CoverageConfig())
+        general = with_id(one("p(X) :- q(X,a)."), 1)
+        assert not oracle.covers_pair(general, with_id(one("p(Y) :- q(Y,b)."), 2))
+        assert not oracle.covers_pair(general, with_id(one("p(f(Y)) :- q(f(Y),b)."), 3))
+        assert calls == []
+        assert oracle.covers_pair(general, with_id(one("p(b) :- q(b,a), r(b)."), 4))
+        assert calls == [general]
+
+
 class TestVerdictStore:
     """Which verdicts outlive a background change, and sharing a store."""
 
@@ -695,6 +776,50 @@ class TestVerdictStore:
         oracle.set_background(bg.extended([with_id(one("s(X) :- p(X)."), 92)]))
         assert oracle.covers_pair(general, ev)
         assert fires == [flat_clause(general)] * 2
+
+    def test_goals_with_the_same_body_bindings_share_one_firing(self, fires):
+        # The body reads no head variable, so both goals project to nothing.
+        bg = Background([with_id(one("p(a,b)."), 90)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        general = with_id(one("h(X,Y) :- p(a,Z)."), 1)
+        evidence = [self.ev("h(1,2)."), self.ev("h(3,4).", 51)]
+        assert [oracle.covers_pair(general, ev) for ev in evidence] == [True, True]
+        assert fires == [flat_clause(general)]
+        # a head that does not match the goal is decided without firing
+        assert not oracle.covers_pair(with_id(one("h(X,X) :- p(a,Z)."), 2), evidence[0])
+        assert fires == [flat_clause(general)]
+        assert [covers(bg, general, ev) for ev in evidence] == [True, True]
+
+    def test_saturated_shared_verdict_flips_after_a_clause_promotion(self, fires):
+        # Two goals with one projection (X = a): the second, asked only after
+        # the promotion, must not read the first one's verdict from before it.
+        bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
+        oracle = CoverageOracle(bg, CoverageConfig())
+        general = with_id(one("h(X,Y) :- q(X), s(X)."), 1)
+        before, after = self.ev("h(a,1)."), self.ev("h(a,2).", 51)
+        assert not oracle.covers_pair(general, before)
+        grown = bg.extended([with_id(one("s(X) :- p(X)."), 92)])
+        assert grown.fingerprint == bg.fingerprint
+        oracle.set_background(grown)
+        assert oracle.covers_pair(general, after) and oracle.covers_pair(general, before)
+        assert fires == [flat_clause(general)] * 2
+
+    def test_oracle_agrees_with_direct_firing_on_the_pools(self):
+        chess = {name: [with_id(r, 10_000 * n + i) for i, r in enumerate(
+            parse_file(os.path.join(CHESS_DIR, f"{name}.kbr")))]
+            for n, name in enumerate((
+                "background", "candidates", "evidence", "rook_bishop_candidates",
+                "rook_bishop_evidence", "queen_candidates", "queen_evidence"))}
+        bg = Background(chess["background"])
+        generals = [r for name in chess if name.endswith("candidates") for r in chess[name]]
+        evidence = [r for name in chess if name.endswith("evidence") for r in chess[name]]
+        _, covered = TestCompiledForms.check(bg, generals, evidence)
+        assert covered > 0
+        # queen rules that read rook and bishop moves fire against the saturated store
+        promoted = bg.extended(chess["rook_bishop_candidates"][:3])
+        _, covered = TestCompiledForms.check(promoted, chess["queen_candidates"],
+                                             chess["queen_evidence"])
+        assert covered > 0  # synth pool 1: TestCompiledForms.test_synth_pool_pairs
 
     def test_shared_store_agrees_with_separate_stores(self, family_bg):
         rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
@@ -747,8 +872,9 @@ class TestCompiledForms:
         for general in generals:
             for specific in specifics:
                 expected = reference_general_fires(general, deduce.skolemize(specific)[0], want)
-                forms = verdicts.forms(keys[general.id], general, keys[specific.id], specific)
-                assert deduce.general_fires(*forms, store) == expected, (general, specific)
+                clause, _, goal = verdicts.forms(keys[general.id], general, keys[specific.id],
+                                                 specific)
+                assert deduce.general_fires(clause, goal, store) == expected, (general, specific)
                 assert oracle.covers_pair(general, specific) == expected, (general, specific)
                 covered += expected
         return verdicts, covered
