@@ -10,7 +10,6 @@ seeded experiment harness on top.
 from .covgraph import CoverageGraph, GraphError, transitive_reduce
 from .deduce import (
     Background,
-    CoverageConfig,
     CoverageOracle,
     DeriveLimits,
     LimitExceeded,
@@ -58,7 +57,6 @@ __all__ = [
     "Background",
     "Compound",
     "ConfigError",
-    "CoverageConfig",
     "CoverageGraph",
     "CoverageOracle",
     "DeriveLimits",

@@ -9,8 +9,8 @@ Evidence nodes never cover anything, so they are always sinks.
 Each node also keeps a bitmask of its strict descendants (bit = node id).
 An insert or removal changes the descendants of its node's ancestors only,
 so it refreshes masks and reduction over that ancestor cone alone.  The
-refresh reads each node's own `full` edges, so it stays exact when the
-relation is not transitive, as coverage under derivation limits need not be.
+refresh reads each node's own `full` edges, so it is exact for any
+relation, transitive or not.
 
 Each node carries a per-class residual: support inherited from forgotten
 descendants, kept as intrinsic node mass.

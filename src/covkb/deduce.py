@@ -1,17 +1,17 @@
 """Deductive engine: subsumption and bounded-derivation coverage checks.
 
-Two coverage semantics are provided.
+A coverage pair is one of two kinds, fixed by the specific's origin.
 
-* `subsumption`: classic theta-subsumption.  A substitution over the
+* A rule specific: classic theta-subsumption.  A substitution over the
   general clause's variables must map its head onto the specific's head
   and every body atom into the specific's body.
 
-* `derivation`: generalized subsumption relative to a background theory
-  (Buntine).  The specific clause is skolemized, its body atoms are
-  asserted as facts, the background is saturated by forward chaining, and
-  the general clause must then fire once to produce the skolemized head.
-  Requiring the general clause to fire keeps the relation meaningful when
-  the background alone already entails the head.
+* An evidence fact (evidence is always one): generalized subsumption
+  relative to a background theory (Buntine).  The background is
+  saturated by forward chaining, and the general clause must then fire
+  once to produce the skolemized fact.  Requiring the general clause to
+  fire keeps the relation meaningful when the background alone already
+  entails the fact.
 
 Forward chaining runs on flat tuples (see "flat terms" below), converted
 from Atoms where clauses and facts enter `extend_closure` and a raw
@@ -35,7 +35,7 @@ goals whose bindings of the general's body variables agree.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, product, repeat
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
@@ -53,9 +53,6 @@ from .rules import (
     iter_terms,
     rename_atom,
 )
-
-SUBSUMPTION = "subsumption"
-DERIVATION = "derivation"
 
 SKOLEM_PREFIX = "$sk"  # rejected by the parser's lexer, so user input cannot forge it
 _FRESH_PREFIX = "$F"   # internal variable namespace for renaming facts apart
@@ -75,20 +72,6 @@ class DeriveLimits:
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_facts <= 0 or self.max_term_depth <= 0:
             raise ValueError("derivation limits must be positive")
-
-
-@dataclass(frozen=True)
-class CoverageConfig:
-    """Which semantics decides each kind of coverage pair."""
-
-    rule_rule_mode: str = SUBSUMPTION
-    rule_evidence_mode: str = DERIVATION
-    limits: DeriveLimits = field(default_factory=DeriveLimits)
-
-    def __post_init__(self):
-        for mode in (self.rule_rule_mode, self.rule_evidence_mode):
-            if mode not in (SUBSUMPTION, DERIVATION):
-                raise ValueError(f"unknown coverage mode {mode!r}")
 
 
 class Background:
@@ -457,15 +440,10 @@ def _fire(clause: Clause, store: FactStore, delta: Optional[Delta], fresh, limit
     return out
 
 
-def forward_closure(
-    bg: Background,
-    extra_facts: Sequence[Atom] = (),
-    limits: DeriveLimits = DeriveLimits(),
-) -> FactStore:
-    """Saturate the background's facts plus `extra_facts` under its clauses
-    (LimitExceeded as in `extend_closure`)."""
+def forward_closure(bg: Background, limits: DeriveLimits = DeriveLimits()) -> FactStore:
+    """The background saturated under its clauses; LimitExceeded as in `extend_closure`."""
     store = FactStore()
-    extend_closure(store, bg.clauses, (), [*bg.facts, *extra_facts], limits)
+    extend_closure(store, bg.clauses, (), bg.facts, limits)
     return store
 
 
@@ -545,32 +523,29 @@ def covers(
     bg: Background,
     general: Rule,
     specific: Rule,
-    mode: str = DERIVATION,
     limits: DeriveLimits = DeriveLimits(),
     on_warning: Optional[Callable[[str], None]] = None,
 ) -> bool:
-    """Does `general` cover `specific` modulo the background?
-
-    In derivation mode a LimitExceeded verdict is reported as "not covered"
-    through `on_warning`.  Every mode starts by matching general's head onto
-    specific's, so heads that cannot match give False before any derivation.
+    """Does `general` cover `specific` modulo the background?  The uncached
+    twin of `CoverageOracle.covers_pair`: theta-subsumption for a rule
+    specific; for an evidence fact, a head match, then one firing of
+    `general` on a fresh saturation, whose LimitExceeded is reported as
+    "not covered" through `on_warning`.
     """
     if general.id == specific.id:
         raise ValueError("coverage is only defined between distinct rules")
-    if mode == SUBSUMPTION:
+    if specific.origin != EVIDENCE:
         return theta_subsumes(general, specific)
-    if mode != DERIVATION:
-        raise ValueError(f"unknown coverage mode {mode!r}")
-    goal, body_facts = skolemize(specific)
-    if not _match(flat_atom(general.head), flat_atom(goal), {}):
+    clause, goal = flat_clause(general), flat_atom(skolemize(specific)[0])
+    if not _match(clause[0], goal, {}):
         return False
     try:
-        store = forward_closure(bg, body_facts, limits)
+        store = forward_closure(bg, limits)
     except LimitExceeded as exc:
         if on_warning:
             on_warning(f"coverage {general.id}->{specific.id}: {exc}")
         return False
-    return general_fires(flat_clause(general), flat_atom(goal), store)
+    return general_fires(clause, goal, store)
 
 
 Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> verdict
@@ -638,7 +613,9 @@ class VerdictStore:
 class CoverageOracle:
     """Caching front-end for pairwise coverage during graph maintenance.
 
-    Verdicts are cached by canonical rule text, one row per general, and so
+    A rule specific is decided by theta-subsumption, an evidence fact by
+    firing the general against the background, as in `covers`.  Verdicts
+    are cached by canonical rule text, one row per general, and so
     is each clause's record (`record`), so re-arrivals of the same clause
     under fresh ids stay cheap.  `keys` maps rule ids to that text where the
     caller has already computed it; other rules are canonicalised on each
@@ -662,12 +639,12 @@ class CoverageOracle:
     def __init__(
         self,
         bg: Background,
-        cfg: CoverageConfig,
+        limits: DeriveLimits,
         keys: Optional[Mapping[int, str]] = None,
         verdicts: Optional[VerdictStore] = None,
     ):
         self.bg = bg
-        self.cfg = cfg
+        self.limits = limits
         self.keys: Mapping[int, str] = {} if keys is None else keys
         self.verdicts = VerdictStore() if verdicts is None else verdicts
         self.warnings: List[str] = []
@@ -695,7 +672,7 @@ class CoverageOracle:
                     bg.clauses,
                     [c for c in added if not c.is_fact],
                     [c.head for c in added if c.is_fact],
-                    self.cfg.limits,
+                    self.limits,
                 )
             except LimitExceeded as exc:
                 self._saturated = None
@@ -727,7 +704,7 @@ class CoverageOracle:
     def _saturated_store(self) -> Optional[FactStore]:
         if self._saturated is None and not self._saturated_failed:
             try:
-                self._saturated = forward_closure(self.bg, limits=self.cfg.limits)
+                self._saturated = forward_closure(self.bg, limits=self.limits)
             except LimitExceeded as exc:
                 self._saturated_failed = True
                 self._warn(f"background saturation: {exc}")
@@ -738,15 +715,11 @@ class CoverageOracle:
         return bool(derivable) and any(a.key in derivable for a in general.body)
 
     def covers_pair(self, general: Rule, specific: Rule) -> bool:
-        cfg = self.cfg
-        mode = cfg.rule_evidence_mode if specific.origin == EVIDENCE else cfg.rule_rule_mode
-        if mode != SUBSUMPTION and not specific.is_fact:
-            return covers(
-                self.bg, general, specific, mode=mode, limits=cfg.limits, on_warning=self._warn)
         keys = self.keys
         gkey = keys.get(general.id) or canonical_form(general)
         key = keys.get(specific.id) or canonical_form(specific)
-        if mode == SUBSUMPTION:
+        subsumption = specific.origin != EVIDENCE
+        if subsumption:
             rows = self.verdicts.subsumes
         else:
             saturating = self._saturating.get(gkey)
@@ -756,7 +729,7 @@ class CoverageOracle:
         row = rows.get(gkey)
         hit = None if row is None else row.get(key)
         if hit is None:
-            if mode == SUBSUMPTION:
+            if subsumption:
                 if self.verdicts.signature(gkey, general) & ~self.verdicts.signature(key, specific):
                     return False  # in no row: redoing the gate costs less than keeping it
                 hit = theta_subsumes(general, specific)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
-from .deduce import CoverageConfig, VerdictStore
+from .deduce import DeriveLimits, VerdictStore
 from .lifecycle import (
     AVG_OPT,
     AVG_OPT_CLAMPED,
@@ -72,7 +72,7 @@ class ScenarioConfig:
     arrival_p: float = 0.5
     capacity: int = 0
     policy: Policy = field(default_factory=Policy)
-    coverage: CoverageConfig = field(default_factory=CoverageConfig)
+    limits: DeriveLimits = field(default_factory=DeriveLimits)
     background: Optional[str] = None
     phases: Tuple[PhaseConfig, ...] = ()
 
@@ -185,11 +185,9 @@ _SCENARIO_KEYS = {
     "theta_p_mode": ("policy.theta_p", _parse_threshold),
     "theta_d_mode": ("policy.theta_d", _parse_threshold),
     "consolidation_class": ("policy.consolidation_class", str),
-    "rule_rule_coverage": ("coverage.rule_rule_mode", str),
-    "rule_evidence_coverage": ("coverage.rule_evidence_mode", str),
-    "max_depth": ("coverage.limits.max_depth", int),
-    "max_facts": ("coverage.limits.max_facts", int),
-    "max_term_depth": ("coverage.limits.max_term_depth", int),
+    "max_depth": ("limits.max_depth", int),
+    "max_facts": ("limits.max_facts", int),
+    "max_term_depth": ("limits.max_term_depth", int),
     "background": ("background", None),
     "steps": ("steps", int),
     "evidence": ("evidence", None),
@@ -329,7 +327,7 @@ def _new_state(
         classes,
         capacity=cfg.capacity,
         policy=cfg.policy,
-        coverage=cfg.coverage,
+        limits=cfg.limits,
         verdicts=verdicts,
     )
 

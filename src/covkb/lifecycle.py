@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
-from .deduce import Background, CoverageConfig, CoverageOracle, VerdictStore
+from .deduce import Background, CoverageOracle, DeriveLimits, VerdictStore
 from .metrics import MetricsTable, compute_permanence, compute_table
 from .rules import BACKGROUND, CANDIDATE, EVIDENCE, Rule, canonical_form
 
@@ -89,7 +89,7 @@ class KnowledgeState:
         classes: Sequence[str],
         capacity: int = 0,
         policy: Optional[Policy] = None,
-        coverage: Optional[CoverageConfig] = None,
+        limits: DeriveLimits = DeriveLimits(),
         verdicts: Optional[VerdictStore] = None,
     ):
         if capacity < 0:
@@ -97,7 +97,6 @@ class KnowledgeState:
         self.classes = tuple(classes)
         self.capacity = capacity
         self.policy = policy or Policy()
-        self.coverage = coverage or CoverageConfig()
         self._next_id = 1
         seed = []
         self._canonical: Dict[str, int] = {}
@@ -110,7 +109,7 @@ class KnowledgeState:
             )
             seed.append(rule)
             self._canonical[canonical_form(rule)] = rule.id
-        self.oracle = CoverageOracle(Background(seed), self.coverage, self._keys, verdicts)
+        self.oracle = CoverageOracle(Background(seed), limits, self._keys, verdicts)
         self.graph = CoverageGraph()
         self.metrics: Optional[MetricsTable] = None
         self._metrics_beta: Optional[float] = None
@@ -175,6 +174,8 @@ class KnowledgeState:
             key = canonical_form(r)
             if key in self._canonical:
                 continue
+            if r.origin == EVIDENCE and not r.is_fact:
+                raise ValueError("evidence rules must be facts")
             rule = replace(r, id=self._fresh_id(), protected=False)
             self._keys[rule.id] = key
             self.graph.insert_rule(rule, self.oracle)

@@ -16,12 +16,10 @@ from covkb.covgraph import (
     transitive_reduce,
 )
 from covkb.deduce import (
-    DERIVATION,
-    SUBSUMPTION,
     Background,
     KEY_POSITIONS,
-    CoverageConfig,
     CoverageOracle,
+    DeriveLimits,
     covers,
     match_atom,
 )
@@ -143,7 +141,6 @@ class TestFamilyGraph:
     def test_full_relation_matches_pairwise_oracle(self, family):
         state, ids = family
         bg = state.background
-        cfg = state.coverage
         nodes = state.graph.nodes
         for a in nodes.values():
             for b in nodes.values():
@@ -152,8 +149,7 @@ class TestFamilyGraph:
                 if a.origin == EVIDENCE:
                     expected = False  # evidence never covers
                 else:
-                    mode = DERIVATION if b.origin == EVIDENCE else SUBSUMPTION
-                    expected = covers(bg, a, b, mode, cfg.limits)
+                    expected = covers(bg, a, b, state.oracle.limits)
                 assert (b.id in state.graph.full[a.id]) == expected
 
     def test_reduction_matches_independent_oracle(self, family):
@@ -178,7 +174,7 @@ class TestStructureBasics:
 
     def test_alpha_equivalent_pair_breaks_to_single_edge(self):
         bg = Background([])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         (a,) = parse_program("p(X) :- q(X).")
         (b,) = parse_program("p(Y) :- q(Y).")
         b = Rule(**{**b.__dict__, "id": 2})
@@ -356,7 +352,7 @@ class TestClauseRecord:
         assert made == []  # every record was made when the family first entered
 
     def test_each_length_override_keeps_its_own_length(self, monkeypatch):
-        oracle = CoverageOracle(Background([]), CoverageConfig())
+        oracle = CoverageOracle(Background([]), DeriveLimits())
         rules = parse_program("p(X) :- q(X).\n#length 3\np(Y) :- q(Y).\n#length 5\np(Z) :- q(Z).")
         assert len({canonical_form(r) for r in rules}) == 1
         assert [r.length_override for r in rules] == [None, 3.0, 5.0]
@@ -484,19 +480,13 @@ class TestMutationInvariants:
     # a second coverer of p(a) halves the share the first one receives
     @example([("insert", 8, 0.0), ("insert", 7, 0.0), ("score", 0, 0.0), ("insert", 0, 0.0)])
     def test_random_mutations_keep_derived_state_exact(self, ops):
-        self.check(ops, CoverageConfig())
+        self.check(ops)
 
-    @settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
-    @given(OPS)
-    def test_random_mutations_under_rule_rule_derivation(self, ops):
-        # Rule-rule pairs are decided by `covers`, which saturates per pair.
-        self.check(ops, CoverageConfig(rule_rule_mode=DERIVATION))
-
-    def check(self, ops, coverage):
+    def check(self, ops):
         # The drawn ops decide when to score, so mutations pile up between
         # metric passes and each pass rescores their joint cones.
         assert all(r.head.arity <= KEY_POSITIONS for r in POOL)
-        state = KnowledgeState(POOL_BG, ("+", "-"), coverage=coverage)
+        state = KnowledgeState(POOL_BG, ("+", "-"))
         g, oracle = state.graph, state.oracle
         asked = []
         covers_pair = oracle.covers_pair

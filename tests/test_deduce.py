@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from covkb import deduce
 from covkb.deduce import (
-    DERIVATION,
-    SUBSUMPTION,
     Background,
-    CoverageConfig,
     CoverageOracle,
     DeriveLimits,
     FactStore,
@@ -63,6 +60,18 @@ R20 = one("daughter(eve,tom) :- female(eve).")
 
 def with_id(rule, rid):
     return Rule(**{**rule.__dict__, "id": rid})
+
+
+def evidence(text, rid):
+    (r,) = parse_program(f"#classes + -\n#evidence +\n{text}")
+    return with_id(r, rid)
+
+
+# reach(a) reaches e in four rounds, so a one-round cap stops short
+REACH_BG = Background(
+    rules_of("reach(a). edge(a,b). edge(b,c). edge(c,d). edge(d,e).")
+    + [one("reach(Y) :- reach(X), edge(X,Y).")]
+)
 
 
 class TestThetaSubsumption:
@@ -145,82 +154,65 @@ class TestDerivesGoal:
 
 
 class TestCovers:
-    def ev(self, text, rid):
-        (r,) = parse_program(f"#classes + -\n#evidence +\n{text}")
-        return with_id(r, rid)
-
     def test_derivation_covers_example(self, family_bg):
-        assert covers(family_bg, with_id(R110, 1), self.ev("daughter(mary,ann).", 2), DERIVATION)
+        assert covers(family_bg, with_id(R110, 1), evidence("daughter(mary,ann).", 2))
 
-    def test_derivation_rejects_rule_100(self, family_bg):
-        # Skolemised body of 100 gives female(sk), parent(sk,mary);
-        # daughter(sk0,sk1) is then underivable with 110.
-        assert not covers(family_bg, with_id(R110, 1), with_id(R100, 2), DERIVATION)
-
-    def test_subsumption_mode(self, family_bg):
-        assert covers(family_bg, with_id(R35, 1), with_id(R20, 2), SUBSUMPTION)
+    def test_rule_pair_is_theta_subsumption(self, family_bg):
+        assert covers(family_bg, with_id(R35, 1), with_id(R20, 2))
+        # 110's body needs female(X); 100's has only female(Y)
+        assert not covers(family_bg, with_id(R110, 1), with_id(R100, 2))
+        # 138's body holds in the background, but 35 has no parent atom
+        # for it to map into
+        assert not covers(family_bg, with_id(R138, 1), with_id(R35, 2))
 
     def test_same_id_rejected(self, family_bg):
         with pytest.raises(ValueError):
-            covers(family_bg, with_id(R110, 1), with_id(R110, 1), DERIVATION)
+            covers(family_bg, with_id(R110, 1), with_id(R110, 1))
 
     def test_background_alone_is_not_coverage(self):
         # The general clause must fire; a background that already entails
         # the head does not make an unrelated rule a coverer.
         bg = Background([one("q(a)."), one("p(X) :- q(X).")])
         unrelated = one("p(X) :- r(X).")
-        target = self.ev("p(a).", 9)
-        assert not covers(bg, with_id(unrelated, 1), target, DERIVATION)
+        target = evidence("p(a).", 9)
+        assert not covers(bg, with_id(unrelated, 1), target)
         related = one("p(X) :- q(X).")
-        assert covers(bg, with_id(related, 2), target, DERIVATION)
+        assert covers(bg, with_id(related, 2), target)
 
     def test_limit_reported_as_warning(self):
-        warnings = []
-        bg = Background(
-            rules_of("edge(a,b). edge(b,c). edge(c,d). edge(d,e).")
-            + [one("reach(Y) :- reach(X), edge(X,Y).")]
-        )
-        specific = one("goal(X) :- reach(a).")
-        general = one("goal(X) :- edge(a,X).")
-        out = covers(
-            bg,
-            with_id(general, 1),
-            with_id(specific, 2),
-            DERIVATION,
-            DeriveLimits(max_depth=1),
-            on_warning=warnings.append,
-        )
-        assert out is False
-        assert warnings
+        general, goal = with_id(one("goal(X) :- reach(X)."), 1), evidence("goal(e).", 2)
+        assert covers(REACH_BG, general, goal)
+        limits, warnings = DeriveLimits(max_depth=1), []
+        assert covers(REACH_BG, general, goal, limits, on_warning=warnings.append) is False
+        oracle = CoverageOracle(REACH_BG, limits)
+        assert oracle.covers_pair(general, goal) is False
+        assert len(warnings) == len(oracle.warnings) == 1
+        # perfbench counts limit warnings by this marker
+        assert all("round cap" in w for w in warnings + oracle.warnings)
 
 
 class TestHeadPrefilter:
     """A pair whose heads cannot match derives nothing and warns of nothing."""
 
-    BG = Background(
-        rules_of("edge(a,b). edge(b,c). edge(c,d). edge(d,e).")
-        + [one("reach(Y) :- reach(X), edge(X,Y).")]
-    )
-    SPECIFIC = with_id(one("goal(X) :- reach(a)."), 2)
-    # A constant cannot take the specific's rigid variable; a variable can.
-    MISS = with_id(one("goal(b) :- edge(a,b)."), 1)
-    HIT = with_id(one("goal(X) :- edge(a,X)."), 1)
+    SPECIFIC = evidence("goal(b).", 2)
+    # A general's constant must equal the fact's; a variable takes it.
+    MISS = with_id(one("goal(a) :- reach(a)."), 1)
+    HIT = with_id(one("goal(X) :- reach(X)."), 1)
 
     @pytest.fixture
     def closures(self, monkeypatch):
         calls = []
         real = deduce.forward_closure
 
-        def counted(bg, extra_facts=(), limits=DeriveLimits()):
-            calls.append(len(extra_facts))
-            return real(bg, extra_facts, limits)
+        def counted(bg, limits=DeriveLimits()):
+            calls.append(bg)
+            return real(bg, limits)
 
         monkeypatch.setattr(deduce, "forward_closure", counted)
         return calls
 
     def oracle(self):
-        cfg = CoverageConfig(rule_rule_mode=DERIVATION, limits=DeriveLimits(max_depth=1))
-        return CoverageOracle(self.BG, cfg)
+        return CoverageOracle(REACH_BG, DeriveLimits(max_depth=1))
 
     def test_head_forms(self):
         atom = one("p(f(X),Y,a) :- q(X).").head
@@ -233,29 +225,29 @@ class TestHeadPrefilter:
         wide = one("p(a,b,c,d,e).").head
         assert len(deduce.head_forms(wide)) == 2 ** deduce.KEY_POSITIONS
 
-    def test_incompatible_rule_pair_derives_nothing(self, closures):
+    def test_incompatible_evidence_pair_derives_nothing(self, closures):
         oracle = self.oracle()
         assert not oracle.covers_pair(self.MISS, self.SPECIFIC)
         assert closures == [] and oracle.warnings == []
         warnings = []
-        assert not covers(self.BG, self.MISS, self.SPECIFIC, DERIVATION,
-                          DeriveLimits(max_depth=1), on_warning=warnings.append)
+        assert not covers(REACH_BG, self.MISS, self.SPECIFIC, DeriveLimits(max_depth=1),
+                          on_warning=warnings.append)
         assert closures == [] and warnings == []
 
-    def test_compatible_rule_pair_still_warns(self, closures):
+    def test_compatible_evidence_pair_still_warns(self, closures):
         oracle = self.oracle()
         assert not oracle.covers_pair(self.HIT, self.SPECIFIC)
-        assert closures == [1] and len(oracle.warnings) == 1
+        assert closures == [REACH_BG] and len(oracle.warnings) == 1
 
     def test_incompatible_evidence_pair_builds_no_saturated_store(self, closures):
         bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
-        oracle = CoverageOracle(bg, CoverageConfig())
-        ev = with_id(parse_program("#classes + -\n#evidence +\nh(a).")[0], 50)
+        oracle = CoverageOracle(bg, DeriveLimits())
+        ev = evidence("h(a).", 50)
         assert not oracle.covers_pair(with_id(one("h(b) :- q(b)."), 1), ev)
         assert not oracle.covers_pair(with_id(one("g(X) :- q(X)."), 2), ev)
         assert closures == []
         assert oracle.covers_pair(with_id(one("h(X) :- q(X)."), 3), ev)
-        assert closures == [0]
+        assert closures == [bg]
 
 
 def random_rule(rng, rid):
@@ -277,36 +269,28 @@ def random_rule(rng, rid):
 
 
 class TestProperties:
-    def test_subsumption_implies_derivation_coverage(self):
-        rng = random.Random(20240601)
-        bg = Background([])
-        pairs = 0
-        for _ in range(400):
-            g = random_rule(rng, 1)
-            s = random_rule(rng, 2)
-            if theta_subsumes(g, s):
-                pairs += 1
-                assert covers(bg, g, s, DERIVATION)
-        assert pairs > 20  # the generator must actually exercise the property
-
-    def test_derivation_monotone_in_background(self, family_bg):
+    def test_derivation_monotone_in_background(self):
         rng = random.Random(99)
-        extra = Background(list(family_bg.rules) + [one("female(zoe).")])
-        for _ in range(120):
+        bg = Background(rules_of("q(a,b). r(b,a). q(X,Y) :- r(Y,X)."))
+        extra = bg.extended([with_id(one("r(a,a)."), 9)])
+        covered = gained = 0
+        for _ in range(200):
             g = random_rule(rng, 1)
-            s = random_rule(rng, 2)
-            if covers(family_bg, g, s, DERIVATION):
-                assert covers(extra, g, s, DERIVATION)
+            s = evidence(f"p({rng.choice('ab')},{rng.choice('ab')}).", 2)
+            before, after = covers(bg, g, s), covers(extra, g, s)
+            assert after or not before
+            covered += before
+            gained += after and not before
+        assert covered > 20 and gained > 0  # the generator must exercise both
 
     def test_determinism(self, family_bg):
-        g, s = with_id(R138, 1), with_id(R110, 2)
-        results = {covers(family_bg, g, s, DERIVATION) for _ in range(5)}
+        g, s = with_id(R138, 1), evidence("daughter(mary,ann).", 2)
+        results = {covers(family_bg, g, s) for _ in range(5)}
         assert results == {True}
 
     def test_transitivity_on_family(self, family_bg):
         rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
-        cfg = CoverageConfig()
-        oracle = CoverageOracle(family_bg, cfg)
+        oracle = CoverageOracle(family_bg, DeriveLimits())
         verdicts = {}
         for a in rules:
             for b in rules:
@@ -612,21 +596,18 @@ class TestBackground:
 class TestOracle:
     def test_matches_direct_covers_on_family(self, family_bg):
         rules = [r for r in parse_file(FAMILY_KBR) if r.origin != BACKGROUND]
-        cfg = CoverageConfig()
-        oracle = CoverageOracle(family_bg, cfg)
+        oracle = CoverageOracle(family_bg, DeriveLimits())
         for a in rules:
             if a.origin == "evidence":
                 continue
             for b in rules:
                 if a.id == b.id:
                     continue
-                mode = DERIVATION if b.origin == "evidence" else SUBSUMPTION
-                direct = covers(family_bg, a, b, mode, cfg.limits)
+                direct = covers(family_bg, a, b, oracle.limits)
                 assert oracle.covers_pair(a, b) == direct
 
     def test_cache_survives_background_growth(self, family_bg):
-        cfg = CoverageConfig()
-        oracle = CoverageOracle(family_bg, cfg)
+        oracle = CoverageOracle(family_bg, DeriveLimits())
         ev = parse_program("#classes + -\n#evidence +\ndaughter(mary,ann).")[0]
         ev = with_id(ev, 50)
         before = oracle.covers_pair(with_id(R110, 1), ev)
@@ -640,7 +621,7 @@ class TestOracle:
         fb = Background([with_id(one("p(a)."), 90)])
         general = with_id(one("h(X) :- p(X), r(X)."), 1)
         ev = with_id(parse_program("#classes + -\n#evidence +\nh(a).")[0], 50)
-        oracle = CoverageOracle(fb.extended([with_id(one("q(a)."), 91)]), CoverageConfig())
+        oracle = CoverageOracle(fb.extended([with_id(one("q(a)."), 91)]), DeriveLimits())
         assert not oracle.covers_pair(general, ev)
         oracle.set_background(fb.extended([with_id(one("r(a)."), 92)]))
         assert oracle.covers_pair(general, ev)
@@ -687,14 +668,13 @@ class TestSubsumptionGate:
                         assert not theta_subsumes(rules[i], rules[j]), (rules[i], rules[j])
         assert gated > 0.9 * sum(len(g) ** 2 for g in by_head.values())
         # the oracle, on the fixture pairs of one head predicate and a sample
-        # of the synth candidates
-        cfg = CoverageConfig(rule_evidence_mode=SUBSUMPTION)
-        oracle = CoverageOracle(Background([]), cfg, verdicts=verdicts)
+        # of the synth candidates; an evidence specific is a firing pair
+        oracle = CoverageOracle(Background([]), DeriveLimits(), verdicts=verdicts)
         held = 0
         for key, group in by_head.items():
             sample = [rules[i] for i in (group[::10] if key == ("t", 2) else group)]
             for general in sample:
-                for specific in sample:
+                for specific in (r for r in sample if r.origin != EVIDENCE):
                     want = theta_subsumes(general, specific)
                     held += want and general is not specific
                     assert oracle.covers_pair(general, specific) == want, (general, specific)
@@ -711,14 +691,14 @@ class TestSubsumptionGate:
             sig = verdicts.signature
             assert not sig(canonical_form(general), general) & ~sig(canonical_form(specific),
                                                                    specific)
-        oracle = CoverageOracle(Background([]), CoverageConfig(), verdicts=verdicts)
+        oracle = CoverageOracle(Background([]), DeriveLimits(), verdicts=verdicts)
         assert oracle.covers_pair(general, specific) == held
 
     def test_a_pair_only_constants_rule_out_runs_no_matcher(self, monkeypatch):
         calls = []
         real = deduce.theta_subsumes
         monkeypatch.setattr(deduce, "theta_subsumes", lambda g, s: calls.append(g) or real(g, s))
-        oracle = CoverageOracle(Background([]), CoverageConfig())
+        oracle = CoverageOracle(Background([]), DeriveLimits())
         general = with_id(one("p(X) :- q(X,a)."), 1)
         assert not oracle.covers_pair(general, with_id(one("p(Y) :- q(Y,b)."), 2))
         assert not oracle.covers_pair(general, with_id(one("p(f(Y)) :- q(f(Y),b)."), 3))
@@ -748,7 +728,7 @@ class TestVerdictStore:
 
     def test_clause_only_promotion_keeps_facts_only_verdicts(self, fires):
         bg = Background([with_id(one("p(a)."), 90), with_id(one("q(a)."), 91)])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         general, ev = with_id(one("h(X) :- p(X)."), 1), self.ev("h(a).")
         assert oracle.covers_pair(general, ev)
         grown = bg.extended([with_id(one("r(X) :- q(X)."), 92)])
@@ -759,7 +739,7 @@ class TestVerdictStore:
 
     def test_promoted_fact_flips_facts_only_verdict(self, fires):
         bg = Background([with_id(one("p(a)."), 90)])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         general, ev = with_id(one("h(X) :- p(X), q(X)."), 1), self.ev("h(a).")
         assert not oracle.covers_pair(general, ev)
         oracle.set_background(bg.extended([with_id(one("q(a)."), 91)]))
@@ -768,7 +748,7 @@ class TestVerdictStore:
 
     def test_saturated_verdict_decided_again_after_change(self, fires):
         bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         general, ev = with_id(one("h(X) :- q(X)."), 1), self.ev("h(a).")
         assert oracle.covers_pair(general, ev)
         assert oracle.covers_pair(general, ev)
@@ -780,7 +760,7 @@ class TestVerdictStore:
     def test_goals_with_the_same_body_bindings_share_one_firing(self, fires):
         # The body reads no head variable, so both goals project to nothing.
         bg = Background([with_id(one("p(a,b)."), 90)])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         general = with_id(one("h(X,Y) :- p(a,Z)."), 1)
         evidence = [self.ev("h(1,2)."), self.ev("h(3,4).", 51)]
         assert [oracle.covers_pair(general, ev) for ev in evidence] == [True, True]
@@ -794,7 +774,7 @@ class TestVerdictStore:
         # Two goals with one projection (X = a): the second, asked only after
         # the promotion, must not read the first one's verdict from before it.
         bg = Background([with_id(one("p(a)."), 90), with_id(one("q(X) :- p(X)."), 91)])
-        oracle = CoverageOracle(bg, CoverageConfig())
+        oracle = CoverageOracle(bg, DeriveLimits())
         general = with_id(one("h(X,Y) :- q(X), s(X)."), 1)
         before, after = self.ev("h(a,1)."), self.ev("h(a,2).", 51)
         assert not oracle.covers_pair(general, before)
@@ -841,13 +821,11 @@ class TestVerdictStore:
                     out.append([oracle.covers_pair(a, b) for a, b in pairs])
             return out
 
-        cfg = CoverageConfig()
-        store = VerdictStore()
-        shared = [CoverageOracle(order[0], cfg, verdicts=store) for order in orders]
-        alone = [CoverageOracle(order[0], cfg) for order in orders]
+        limits, store = DeriveLimits(), VerdictStore()
+        shared = [CoverageOracle(order[0], limits, verdicts=store) for order in orders]
+        alone = [CoverageOracle(order[0], limits) for order in orders]
         direct = [
-            [covers(bg, a, b, DERIVATION if b.origin == "evidence" else SUBSUMPTION)
-             for a, b in pairs]
+            [covers(bg, a, b) for a, b in pairs]
             for order in orders for bg in order
         ]
         assert len({tuple(v) for v in direct}) == 3
@@ -867,7 +845,7 @@ class TestCompiledForms:
         reference_extend_closure(want, bg.clauses, (), bg.facts, DeriveLimits())
         keys = {r.id: canonical_form(r) for r in [*generals, *specifics]}
         verdicts = VerdictStore()
-        oracle = CoverageOracle(bg, CoverageConfig(), keys=keys, verdicts=verdicts)
+        oracle = CoverageOracle(bg, DeriveLimits(), keys=keys, verdicts=verdicts)
         covered = 0
         for general in generals:
             for specific in specifics:
@@ -924,26 +902,3 @@ class TestCompiledForms:
         # the generals that read p0 fire against that saturated store
         _, covered = self.check(bg, pool["candidates"][::8], pool["evidence"])
         assert covered > 0
-
-
-class TestCoverageModeKnobs:
-    def test_rule_rule_derivation_is_weaker_than_subsumption(self, family_bg):
-        # Under theta-subsumption the most general rule does not cover the
-        # bodiless-chain rule (no parent atom to map into), which keeps the
-        # family graph shaped as published.  Under derivation-modulo-K the
-        # skolemised body is satisfiable from K alone, so coverage holds:
-        # exactly the difference the per-scenario mode knob controls.
-        g = with_id(R138, 1)
-        s = with_id(R35, 2)
-        assert not covers(family_bg, g, s, SUBSUMPTION)
-        assert covers(family_bg, g, s, DERIVATION)
-
-    def test_evidence_subsumption_mode(self, family_bg):
-        (ev,) = parse_program("#classes + -\n#evidence +\ndaughter(mary,ann).")
-        ev = with_id(ev, 30)
-        cfg = CoverageConfig(rule_evidence_mode=SUBSUMPTION)
-        oracle = CoverageOracle(family_bg, cfg)
-        # a clause with a body cannot theta-subsume a bare fact
-        assert not oracle.covers_pair(with_id(R110, 1), ev)
-        twin = one("daughter(mary,ann).")
-        assert oracle.covers_pair(with_id(twin, 2), ev)

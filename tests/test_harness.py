@@ -494,7 +494,9 @@ class TestCli:
             *(("scn", line) for line in (
                 "beta = 2", "forget_fraction = 0", "capacity = -1", "max_depth = 0",
                 "max_facts = -1", "max_term_depth = 0", "seed = -1", "capacity = x",
-                "arrival_p = 0", "rule_rule_coverage = foo", "theta_p_mode = fixed:",
+                "arrival_p = 0", "theta_p_mode = fixed:",
+                # each coverage pair kind has one fixed semantics, so no key picks one
+                "rule_rule_coverage = subsumption", "rule_evidence_coverage = derivation",
             )),
             ("phase", "steps = -1"),
             ("grid", "fractions = 0,1.5"),
@@ -518,6 +520,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line {_line_of(body, key)}: ")
         assert err.count("\n") == 1
+        if key.endswith("_coverage"):
+            assert err.endswith(f": unknown scenario key {key!r}\n")
         assert not (tmp_path / "out").exists()
 
     def test_grid_unreadable_pool_exits_1(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from covkb import lifecycle
@@ -11,7 +13,7 @@ from covkb.lifecycle import (
 )
 from covkb.metrics import compute_table
 from covkb.parser import parse_program
-from covkb.rules import BACKGROUND, CANDIDATE
+from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE
 
 from conftest import family_state
 
@@ -70,6 +72,15 @@ class TestIngest:
         state = blank_state()
         with pytest.raises(ValueError):
             state.ingest(parse_program("#background\nk(a)."))
+
+    def test_evidence_with_a_body_rejected(self):
+        # the parser refuses such a clause; one built in code must not
+        # reach the oracle, whose firing path would ignore its body
+        state = blank_state()
+        (rule,) = candidates("p(X) :- q(X).")
+        with pytest.raises(ValueError, match="evidence rules must be facts"):
+            state.ingest([replace(rule, origin=EVIDENCE, class_label="+")])
+        assert state.population() == 0
 
 
 class TestForget:
