@@ -157,10 +157,15 @@ class TestCovers:
     def test_derivation_covers_example(self, family_bg):
         assert covers(family_bg, with_id(R110, 1), evidence("daughter(mary,ann).", 2))
 
-    def test_rule_pair_is_theta_subsumption(self, family_bg):
-        assert covers(family_bg, with_id(R35, 1), with_id(R20, 2))
-        # 110's body needs female(X); 100's has only female(Y)
+    def test_derivation_rejects_rule_100(self, family_bg):
+        # A rule pair is decided by theta-subsumption: 110's body needs
+        # female(X), and 100's has only female(Y).
         assert not covers(family_bg, with_id(R110, 1), with_id(R100, 2))
+
+    def test_subsumption_mode(self, family_bg):
+        assert covers(family_bg, with_id(R35, 1), with_id(R20, 2))
+
+    def test_rule_pair_is_theta_subsumption(self, family_bg):
         # 138's body holds in the background, but 35 has no parent atom
         # for it to map into
         assert not covers(family_bg, with_id(R138, 1), with_id(R35, 2))
