@@ -14,7 +14,6 @@ from .deduce import (
     DeriveLimits,
     LimitExceeded,
     covers,
-    theta_subsumes,
 )
 from .harness import (
     ConfigError,
@@ -92,6 +91,5 @@ __all__ = [
     "run_grid",
     "run_scenario",
     "signature_stats",
-    "theta_subsumes",
     "transitive_reduce",
 ]

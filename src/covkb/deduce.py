@@ -13,9 +13,17 @@ A coverage pair is one of two kinds, fixed by the specific's origin.
   fire keeps the relation meaningful when the background alone already
   entails the fact.
 
-Forward chaining runs on flat tuples (see "flat terms" below), converted
-from Atoms where clauses and facts enter `extend_closure` and a raw
-background store.  It tolerates non-range-restricted clauses by storing
+The kernel runs on flat terms only (see "flat terms" below).  A rule
+crosses into it through one converter, `flat_clause`, at three places:
+once per canonical key in the oracle's `VerdictStore`, once per rule when
+a `Background` is built, and once per pair in the uncached `covers`.  One
+one-way matcher, `_match`, decides both pair kinds: `theta_subsumes`
+maps the general's head and body atoms onto the specific's skolemized
+clause with it, and `general_fires` matches the general's head against
+the goal with it before joining the body.  A specific's skolemized
+clause serves both kinds; an evidence goal is its head.
+
+Forward chaining tolerates non-range-restricted clauses by storing
 open (non-ground) derived facts: an unbound head variable stands for "any
 term".  A fact is keyed by its shape (ground subterms blanked, variables
 numbered) and ground parts, so a ground subgoal is one lookup per shape
@@ -24,12 +32,11 @@ body position k whose predicate gained facts in the last round; position
 k reads only those facts and earlier positions skip them, so each join
 that uses a new fact is made exactly once.  A head or join pattern is
 resolved in one walk (`_build`) that also gives its depth and whether it
-is ground, so a ground fact is stored without building a shape.
-`general_fires` takes a flat clause and goal, which the oracle's
-`VerdictStore` makes once per canonical key.  All searches are bounded
-by `DeriveLimits`.  The oracle settles most misses without a matcher: a
-signature gate before `theta_subsumes`, and firing verdicts shared by
-goals whose bindings of the general's body variables agree.
+is ground, so a ground fact is stored without building a shape.  All
+derivations are bounded by `DeriveLimits`.  The oracle settles most
+misses without a matcher: a signature gate before `theta_subsumes`, and
+firing verdicts shared by goals whose bindings of the general's body
+variables agree.
 """
 
 from __future__ import annotations
@@ -38,21 +45,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, product, repeat
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Set, Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
-from .rules import (
-    EVIDENCE,
-    Atom,
-    Compound,
-    Rule,
-    Term,
-    Var,
-    canonical_form,
-    iter_terms,
-    rename_atom,
-)
+from .rules import EVIDENCE, Rule, Var, canonical_form
 
 SKOLEM_PREFIX = "$sk"  # rejected by the parser's lexer, so user input cannot forge it
 _FRESH_PREFIX = "$F"   # internal variable namespace for renaming facts apart
@@ -77,9 +74,13 @@ class DeriveLimits:
 class Background:
     """An immutable rule set used as auxiliary knowledge during derivation.
 
-    Holds the seed background plus currently consolidated rules.
-    `rule_ids`, `derivable_preds` (the predicates forward chaining could add
-    facts for) and `fingerprint` (the set of facts, which keys the verdicts
+    Holds the seed background plus currently consolidated rules.  Each rule
+    is made a flat clause once, when it enters (`flat`, in rule order):
+    `extended` converts only the new rules and `without_ids` keeps the
+    others' clauses.  The heads of the facts are `facts`, the clauses with
+    a body `clauses`.  `rule_ids`,
+    `derivable_preds` (the predicates forward chaining could add facts
+    for) and `fingerprint` (the set of flat facts, which keys the verdicts
     that depend on the facts alone) are fixed at construction.
     """
 
@@ -88,120 +89,76 @@ class Background:
         for r in rules:
             if r.class_label is not None:
                 raise ValueError("evidence rules cannot enter the background")
-        self.rules = rules
-        self.facts: List[Atom] = [r.head for r in rules if r.is_fact]
-        self.clauses: List[Rule] = [r for r in rules if not r.is_fact]
+        self._hold(rules, tuple(map(flat_clause, rules)))
+
+    def _hold(self, rules: Tuple[Rule, ...], flat: Tuple[Clause, ...]) -> "Background":
+        self.rules, self.flat = rules, flat
+        self.facts: List[tuple] = [head for head, body in flat if not body]
+        self.clauses: List[Clause] = [c for c in flat if c[1]]
         self.rule_ids = frozenset(r.id for r in rules)
-        self.derivable_preds = frozenset(c.head.key for c in self.clauses)
+        self.derivable_preds = frozenset(_key(head) for head, _ in self.clauses)
         self.fingerprint = frozenset(self.facts)
+        return self
 
     def extended(self, extra: Iterable[Rule]) -> "Background":
-        return Background(self.rules + tuple(extra))
+        extra = Background(extra)
+        return Background.__new__(Background)._hold(self.rules + extra.rules,
+                                                    self.flat + extra.flat)
 
     def without_ids(self, ids: Iterable[int]) -> "Background":
         drop = set(ids)
-        return Background(r for r in self.rules if r.id not in drop)
+        kept = [(r, c) for r, c in zip(self.rules, self.flat) if r.id not in drop]
+        return Background.__new__(Background)._hold(tuple(r for r, _ in kept),
+                                                    tuple(c for _, c in kept))
 
     def __len__(self):
         return len(self.rules)
 
 
 # ---------------------------------------------------------------------------
-# Atom-level matching and theta-subsumption
-
-
-def match(pattern: Term, target: Term, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
-    """One-way matching: only `pattern` variables bind; `target` is rigid.
-
-    Target variables behave as opaque constants (a pattern variable may
-    bind to one).  Bindings are compared structurally, never walked, so
-    accidental name sharing between the two sides is harmless.
-    """
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is not None:
-            return subst if bound == target else None
-        out = dict(subst)
-        out[pattern.name] = target
-        return out
-    if isinstance(target, Var):
-        return None
-    if pattern.functor != target.functor or len(pattern.args) != len(target.args):
-        return None
-    for x, y in zip(pattern.args, target.args):
-        subst = match(x, y, subst)
-        if subst is None:
-            return None
-    return subst
-
-
-def match_atom(pattern: Atom, target: Atom, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
-    if pattern.pred != target.pred or pattern.arity != target.arity:
-        return None
-    for x, y in zip(pattern.args, target.args):
-        subst = match(x, y, subst)
-        if subst is None:
-            return None
-    return subst
-
-
-def head_forms(atom: Atom) -> Tuple[Tuple, ...]:
-    """The head key of `atom`, then every coarser key.
-
-    A key is the predicate and arity plus, for each of the first
-    KEY_POSITIONS arguments, its top-level (functor, arity), or None for a
-    variable.  `match_atom(general, atom, {})` can succeed only when the
-    general's key is one of these: the general's key equals `atom`'s with
-    some positions set to None.  A variable of `atom` is rigid, so only a
-    general's variable takes it.  At most 2**KEY_POSITIONS forms.
-    """
-    shapes = [
-        (None,) if isinstance(a, Var) else ((a.functor, len(a.args)), None)
-        for a in atom.args[:KEY_POSITIONS]
-    ]
-    return tuple((atom.pred, atom.arity, *s) for s in product(*shapes))
-
-
-def theta_subsumes(general: Rule, specific: Rule) -> bool:
-    """True iff some substitution maps general's head onto specific's head
-    and every general body atom into specific's body (order-free)."""
-    subst = match_atom(general.head, specific.head, {})
-    if subst is None:
-        return False
-    body = specific.body
-
-    def search(i: int, subst) -> bool:
-        if i == len(general.body):
-            return True
-        pattern = general.body[i]
-        for target in body:
-            nxt = match_atom(pattern, target, subst)
-            if nxt is not None and search(i + 1, nxt):
-                return True
-        return False
-
-    return search(0, subst)
-
-
-# ---------------------------------------------------------------------------
 # flat terms: constant = name, compound = (functor, *args), atom = (pred, *args), variable = Var
 
 
-def _flat_term(term: Term):
-    if isinstance(term, Var):
+def _flat(term):
+    if type(term) is Var:
         return term
-    return (term.functor, *map(_flat_term, term.args)) if term.args else term.functor
-
-
-def flat_atom(atom: Atom) -> tuple:
-    return (atom.pred, *map(_flat_term, atom.args))
+    return (term.functor, *map(_flat, term.args)) if term.args else term.functor
 
 
 Clause = Tuple[tuple, Tuple[tuple, ...]]  # a flat head and flat body
 
 
 def flat_clause(rule: Rule) -> Clause:
-    return flat_atom(rule.head), tuple(map(flat_atom, rule.body))
+    """`rule`'s head and body as flat atoms: the one way a rule enters the kernel."""
+    head, *body = [(a.pred, *map(_flat, a.args)) for a in rule.atoms()]
+    return head, tuple(body)
+
+
+def _terms(atoms: Iterable[tuple]) -> Iterator:
+    """The arguments of flat `atoms` and, depth first, every subterm of each."""
+    for atom in atoms:
+        for t in atom[1:]:
+            yield t
+            if type(t) is tuple:
+                yield from _terms((t,))
+
+
+def head_forms(head: tuple) -> Tuple[Tuple, ...]:
+    """The head key of the flat `head`, then every coarser key.
+
+    A key is the predicate and arity plus, for each of the first
+    KEY_POSITIONS arguments, its top-level (functor, arity), or None for a
+    variable.  A general's head matches `head` (`_match`, whose target's
+    variables are rigid) only when the general's key is one of these: the
+    general's key equals `head`'s with some positions set to None.  A
+    variable of `head` is rigid, so only a general's variable takes it.
+    At most 2**KEY_POSITIONS forms.
+    """
+    shapes = [
+        (None,) if type(a) is Var else ((a, 0) if type(a) is str else (a[0], len(a) - 1), None)
+        for a in head[1:KEY_POSITIONS + 1]
+    ]
+    return tuple((head[0], len(head) - 1, *s) for s in product(*shapes))
 
 
 def _key(fact: tuple) -> Tuple[str, int]:
@@ -245,7 +202,7 @@ def _build(t, subst: dict) -> Tuple[object, int, bool]:
     return tuple(parts), deepest + 1, ground
 
 
-def _rename(t, names: dict, fresh: Callable[[], Var]):
+def _rename(t, names: dict, fresh: Callable[[], object]):
     """`t` with each variable replaced through `names`, a new one by `fresh()`."""
     if type(t) is tuple:
         return tuple([a if type(a) is str else _rename(a, names, fresh) for a in t])
@@ -260,6 +217,28 @@ def _match(pattern, target, subst: dict) -> bool:
     if type(pattern) is str:
         return pattern == target
     return subst.setdefault(pattern.name, target) == target
+
+
+def theta_subsumes(general: Clause, specific: Clause) -> bool:
+    """True iff some substitution maps flat `general`'s head onto
+    `specific`'s and each of its body atoms onto one of `specific`'s body
+    atoms (order-free).  `specific` comes skolemized (`skolemize`), so its
+    variables are constants that no substitution binds."""
+    head, body = general
+    subst: dict = {}
+    return _match(head, specific[0], subst) and _embeds(body, specific[1], subst, 0)
+
+
+def _embeds(body: Sequence[tuple], targets: Sequence[tuple], subst: dict, i: int) -> bool:
+    """Whether `subst` extends to map each of `body[i:]` onto some target:
+    a depth-first search, each try on its own copy of the bindings."""
+    if i == len(body):
+        return True
+    for target in targets:
+        nxt = dict(subst)
+        if _match(body[i], target, nxt) and _embeds(body, targets, nxt, i + 1):
+            return True
+    return False
 
 
 def _occurs(name: str, t, subst: dict) -> bool:
@@ -449,13 +428,14 @@ def forward_closure(bg: Background, limits: DeriveLimits = DeriveLimits()) -> Fa
 
 def extend_closure(
     store: FactStore,
-    all_clauses: Sequence[Rule],
-    new_clauses: Sequence[Rule],
-    new_facts: Sequence[Atom],
+    all_clauses: Sequence[Clause],
+    new_clauses: Sequence[Clause],
+    new_facts: Sequence[tuple],
     limits: DeriveLimits,
 ) -> None:
-    """Saturate `store`, semi-naive, after the rule set grew by `new_facts`
-    and the non-fact `new_clauses`; `all_clauses` are the grown set's.
+    """Saturate `store`, semi-naive, after the rule set grew by the flat
+    `new_facts` and the flat clauses `new_clauses`, each with a body;
+    `all_clauses` are the grown set's (as a `Background` keeps them).
 
     An empty store with no new clauses is a fresh saturation.  New clauses
     are joined once over the whole store, then each round joins every
@@ -466,9 +446,8 @@ def extend_closure(
     round cap stops saturation before a fixpoint.
     """
     fresh = _fresh_vars()
-    clauses = [flat_clause(c) for c in all_clauses]
-    delta = [fact for fact in map(flat_atom, new_facts) if store.add(fact, _ground(fact))]
-    for clause in map(flat_clause, new_clauses):
+    delta = [fact for fact in new_facts if store.add(fact, _ground(fact))]
+    for clause in new_clauses:
         delta.extend(f for f, ground in _fire(clause, store, None, fresh, limits)
                      if store.add(f, ground))
     if store.count > limits.max_facts:
@@ -480,7 +459,7 @@ def extend_closure(
         for fact in delta:
             by_key.setdefault(_key(fact), {})[id(fact)] = fact
         new: List[Tuple[tuple, bool]] = []
-        for clause in clauses:
+        for clause in all_clauses:
             new.extend(_fire(clause, store, by_key, fresh, limits))
         delta = []
         for fact, ground in new:
@@ -496,15 +475,13 @@ def extend_closure(
 # coverage
 
 
-def _skolem(n: int) -> Term:
-    return Compound(f"{SKOLEM_PREFIX}{n}")
-
-
-def skolemize(rule: Rule) -> Tuple[Atom, Tuple[Atom, ...]]:
-    """Replace the rule's variables by fresh reserved constants."""
-    mapping: Dict[str, Term] = {}
-    head, *body = (rename_atom(a, mapping, _skolem) for a in rule.atoms())
-    return head, tuple(body)
+def skolemize(clause: Clause) -> Clause:
+    """Flat `clause` with its variables replaced by reserved constants,
+    $sk0, $sk1, ... in order of first occurrence."""
+    names: dict = {}
+    fresh = map(f"{SKOLEM_PREFIX}{{}}".format, count()).__next__
+    head, body = clause
+    return _rename(head, names, fresh), tuple([_rename(a, names, fresh) for a in body])
 
 
 def general_fires(general: Clause, goal: tuple, store: FactStore) -> bool:
@@ -534,9 +511,10 @@ def covers(
     """
     if general.id == specific.id:
         raise ValueError("coverage is only defined between distinct rules")
+    clause, skolemized = flat_clause(general), skolemize(flat_clause(specific))
     if specific.origin != EVIDENCE:
-        return theta_subsumes(general, specific)
-    clause, goal = flat_clause(general), flat_atom(skolemize(specific)[0])
+        return theta_subsumes(clause, skolemized)
+    goal = skolemized[0]
     if not _match(clause[0], goal, {}):
         return False
     try:
@@ -552,62 +530,59 @@ Rows = Dict[str, Dict[str, bool]]  # canonical general -> canonical specific -> 
 Shared = Dict[tuple, bool]  # (canonical general, *its body variables' bindings) -> verdict
 
 
-def _subterms(atoms: Iterable[Atom]) -> Iterator[Term]:
-    return (t for a in atoms for arg in a.args for t in iter_terms(arg))
+class Forms(NamedTuple):
+    """What the oracle reads of one canonical key's clause (`VerdictStore.forms`)."""
+
+    clause: Clause              # the flat clause: a general's side of a pair
+    body_vars: Tuple[str, ...]  # its body's variable names, by first occurrence
+    skolemized: Clause          # `skolemize(clause)`: a specific's side; a goal is its head
+    signature: int              # its symbols, one interned bit each
 
 
 class VerdictStore:
     """Verdicts that depend on content alone, so any oracles may share them:
     theta-subsumption rows and, per background fact set (its fingerprint),
     the raw fact store with the rows of generals fired against it and,
-    living exactly as long, their verdicts shared per projection.  Also,
-    made once per canonical key: each general's flat clause and body
-    variables, each specific's flat skolemized goal, each `signature`.  And
-    `records`, one clause record per canonical key and length override:
-    what a graph derives from the clause when it enters."""
+    living exactly as long, their verdicts shared per projection.  Also
+    `forms`, made once per canonical key, the one place where a pair's
+    rules become flat clauses; and `records`, one clause record per
+    canonical key and length override: what a graph derives from the
+    clause when it enters."""
 
     def __init__(self):
         self.subsumes: Rows = {}
         self.records: Dict[Tuple[str, Optional[float]], tuple] = {}
-        self._by_facts: Dict[FrozenSet[Atom], Tuple[FactStore, Tuple[Rows, Shared]]] = {}
-        self._clauses: Dict[str, Tuple[Clause, Tuple[str, ...]]] = {}
-        self._goals: Dict[str, tuple] = {}
-        self._signatures: Dict[str, int] = {}
+        self._by_facts: Dict[FrozenSet[tuple], Tuple[FactStore, Tuple[Rows, Shared]]] = {}
+        self._forms: Dict[str, Forms] = {}
         self._symbols: Dict[Hashable, int] = {}
 
     def for_facts(self, bg: Background) -> Tuple[FactStore, Tuple[Rows, Shared]]:
         entry = self._by_facts.get(bg.fingerprint)
         if entry is None:
             store = FactStore()
-            for fact in map(flat_atom, bg.facts):
+            for fact in bg.facts:
                 store.add(fact, _ground(fact))
             entry = self._by_facts[bg.fingerprint] = (store, ({}, {}))
         return entry
 
-    def forms(self, gkey: str, general: Rule, skey: str, specific: Rule
-              ) -> Tuple[Clause, Tuple[str, ...], tuple]:
-        """`general`'s flat clause and body variables, and `specific`'s goal."""
-        made = self._clauses.get(gkey)
-        if made is None:
-            made = self._clauses[gkey] = (flat_clause(general), tuple(dict.fromkeys(
-                t.name for t in _subterms(general.body) if type(t) is Var)))
-        return (*made, self._goals.get(skey) or self._goals.setdefault(
-            skey, flat_atom(skolemize(specific)[0])))
-
-    def signature(self, key: str, rule: Rule) -> int:
-        """`rule`'s symbols, one interned bit each: its body predicate keys
-        and every constant or functor with its arity, the head's included.
-        theta maps only variables, so `theta_subsumes(g, s)` needs
+    def forms(self, key: str, rule: Rule) -> Forms:
+        """The forms of `rule`, whose canonical text is `key`, made on the
+        first ask.  The signature has a bit for each body predicate key and
+        each constant or functor with its arity, the head's included.  theta
+        maps only variables, so `theta_subsumes(g, s)` needs
         `signature(g) & ~signature(s) == 0`."""
-        sig = self._signatures.get(key)
-        if sig is None:
+        found = self._forms.get(key)
+        if found is None:
+            clause = flat_clause(rule)
+            head, body = clause
             bits, sig = self._symbols, 0
-            functors = [f"{t.functor}/{len(t.args)}" for t in _subterms(rule.atoms())
-                        if type(t) is Compound]
-            for symbol in [a.key for a in rule.body] + functors:
+            functors = [f"{t}/0" if type(t) is str else f"{t[0]}/{len(t) - 1}"
+                        for t in _terms((head, *body)) if type(t) is not Var]
+            for symbol in [_key(a) for a in body] + functors:
                 sig |= 1 << bits.setdefault(symbol, len(bits))
-            self._signatures[key] = sig
-        return sig
+            names = tuple(dict.fromkeys(t.name for t in _terms(body) if type(t) is Var))
+            found = self._forms[key] = Forms(clause, names, skolemize(clause), sig)
+        return found
 
 
 class CoverageOracle:
@@ -626,14 +601,20 @@ class CoverageOracle:
     store that `set_background` grows in place; `extend_closure` restarts its
     round budget, so that store depends on the order of changes and its
     verdicts are per oracle, dropped on each change, as is the choice
-    between the two stores, made once per general's key.  A subsumption
-    miss reads the keys' signatures first; a firing miss matches the head,
-    then the verdict shared by the general's key and the bindings of its
+    between the two stores, made once per general's key.
+
+    A miss reads both keys' `Forms` from `verdicts`, so the oracle converts
+    no rule itself, and decides with one matcher.  A subsumption miss
+    tests the signatures first, then runs `theta_subsumes` on the
+    general's clause and the specific's skolemized clause.  A firing miss
+    matches the general's head against that clause's head, the goal, then
+    reads the verdict shared by the general's key and the bindings of its
     body variables, kept in a table that lives exactly as long as its rows.
 
     `head_forms` gives a rule's head key and the keys of every general that
-    may cover it; a pair whose keys do not match is not covered.  Such a
-    pair derives nothing here, so skipping it changes no later verdict.
+    may cover it, from the flat head in its key's forms; a pair whose keys
+    do not match is not covered.  Such a pair derives nothing here, so
+    skipping it changes no later verdict.
     """
 
     def __init__(
@@ -665,13 +646,13 @@ class CoverageOracle:
             and not self._saturated_failed
             and old.rule_ids <= bg.rule_ids
         ):
-            added = [r for r in bg.rules if r.id not in old.rule_ids]
+            added = [c for r, c in zip(bg.rules, bg.flat) if r.id not in old.rule_ids]
             try:
                 extend_closure(
                     self._saturated,
                     bg.clauses,
-                    [c for c in added if not c.is_fact],
-                    [c.head for c in added if c.is_fact],
+                    [c for c in added if c[1]],
+                    [head for head, body in added if not body],
                     self.limits,
                 )
             except LimitExceeded as exc:
@@ -690,7 +671,7 @@ class CoverageOracle:
         return canonical_form(rule) if text is None else text
 
     def head_forms(self, rule: Rule) -> Tuple[Hashable, ...]:
-        return head_forms(rule.head)
+        return head_forms(self.verdicts.forms(self.canon(rule), rule).clause[0])
 
     def record(self, rule: Rule, make: Callable[[], tuple]) -> tuple:
         """`rule`'s clause record in `verdicts`, built by `make` on the first
@@ -710,37 +691,39 @@ class CoverageOracle:
                 self._warn(f"background saturation: {exc}")
         return self._saturated
 
-    def _needs_saturation(self, general: Rule) -> bool:
+    def _needs_saturation(self, body: Sequence[tuple]) -> bool:
         derivable = self.bg.derivable_preds
-        return bool(derivable) and any(a.key in derivable for a in general.body)
+        return bool(derivable) and any(_key(a) in derivable for a in body)
 
     def covers_pair(self, general: Rule, specific: Rule) -> bool:
-        keys = self.keys
+        keys, verdicts = self.keys, self.verdicts
         gkey = keys.get(general.id) or canonical_form(general)
         key = keys.get(specific.id) or canonical_form(specific)
         subsumption = specific.origin != EVIDENCE
         if subsumption:
-            rows = self.verdicts.subsumes
+            rows = verdicts.subsumes
         else:
             saturating = self._saturating.get(gkey)
             if saturating is None:
-                saturating = self._saturating[gkey] = self._needs_saturation(general)
+                saturating = self._saturating[gkey] = self._needs_saturation(
+                    verdicts.forms(gkey, general).clause[1])
             rows, shared = self._saturated_tables if saturating else self._facts_tables
         row = rows.get(gkey)
         hit = None if row is None else row.get(key)
         if hit is None:
+            g, s = verdicts.forms(gkey, general), verdicts.forms(key, specific)
             if subsumption:
-                if self.verdicts.signature(gkey, general) & ~self.verdicts.signature(key, specific):
+                if g.signature & ~s.signature:
                     return False  # in no row: redoing the gate costs less than keeping it
-                hit = theta_subsumes(general, specific)
+                hit = theta_subsumes(g.clause, s.skolemized)
             else:
                 # A fact asserts nothing, so stores are shared; `view` is False if the head fails
-                clause, names, goal = self.verdicts.forms(gkey, general, key, specific)
-                view = _match(clause[0], goal, subst := {}) and (gkey, *map(subst.get, names))
+                (head, _), goal = g.clause, s.skolemized[0]
+                view = _match(head, goal, subst := {}) and (gkey, *map(subst.get, g.body_vars))
                 hit = view and shared.get(view)
                 if hit is None:
                     store = self._saturated_store() if saturating else self._raw_store
-                    hit = shared[view] = store is not None and general_fires(clause, goal, store)
+                    hit = shared[view] = store is not None and general_fires(g.clause, goal, store)
             if row is None:
                 row = rows[gkey] = {}
             row[key] = hit

@@ -9,9 +9,11 @@ File grammar:
     head.                                   fact
     head :- a1, a2, ... .                   clause
 
-Directives are line-oriented; clauses may span lines.  `$` is not a legal
-token character, which keeps the internal skolem namespace (`$sk<n>`)
-unwritable from user input.
+Directives are line-oriented; clauses may span lines.  A term nests at
+most MAX_TERM_NESTING deep, so a deeper one is a ParseError with its
+position, not a blown Python stack.  `$` is not a legal token character,
+which keeps the internal skolem namespace (`$sk<n>`) unwritable from
+user input.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .rules import (
     Rule,
     Var,
 )
+
+
+MAX_TERM_NESTING = 100  # the fixtures nest terms 3 deep; the Python stack allows a few hundred
 
 
 class ParseError(Exception):
@@ -100,10 +105,12 @@ class _ClauseParser:
         self.i += 1
         return tok
 
-    def term(self):
+    def term(self, depth: int = 1):
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of clause in term", 0, 0)
+        if depth > MAX_TERM_NESTING:
+            raise ParseError(f"term nested more than {MAX_TERM_NESTING} deep", tok.line, tok.col)
         if tok.kind == "VAR":
             self.i += 1
             return Var(tok.text)
@@ -114,17 +121,18 @@ class _ClauseParser:
             self.i += 1
             nxt = self._peek()
             if nxt is not None and nxt.kind == "LPAREN":
-                args = self._arglist()
+                args = self._arglist(depth + 1)
                 return Compound(tok.text, args)
             return Compound(tok.text)
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
 
-    def _arglist(self) -> Tuple:
+    def _arglist(self, depth: int = 1) -> Tuple:
+        """A parenthesised list of terms, each at nesting `depth`."""
         self._next("LPAREN")
-        args = [self.term()]
+        args = [self.term(depth)]
         while self._peek() is not None and self._peek().kind == "COMMA":
             self.i += 1
-            args.append(self.term())
+            args.append(self.term(depth))
         self._next("RPAREN")
         return tuple(args)
 

@@ -6,8 +6,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from covkb.covgraph import CoverageGraph, transitive_reduce
 from covkb.deduce import (
-    Background, DeriveLimits, FactStore, LimitExceeded, _ground, _key, _shape, _walk, flat_atom,
-    forward_closure, match_atom,
+    Background, DeriveLimits, FactStore, LimitExceeded, _ground, _key, _shape, _walk, flat_clause,
+    forward_closure,
 )
 from covkb.rules import (
     CANDIDATE, EVIDENCE, Atom, Compound, Rule, Term, Var, canonical_var, rename_atom, rule_length,
@@ -202,6 +202,77 @@ def brute_force_support(
     return support
 
 
+def match(pattern: Term, target: Term, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
+    """One-way matching on Atom-level terms: only `pattern` variables bind;
+    `target` is rigid.
+
+    Target variables behave as opaque constants (a pattern variable may
+    bind to one).  Bindings are compared structurally, never walked, so
+    accidental name sharing between the two sides is harmless.
+    """
+    if isinstance(pattern, Var):
+        bound = subst.get(pattern.name)
+        if bound is not None:
+            return subst if bound == target else None
+        out = dict(subst)
+        out[pattern.name] = target
+        return out
+    if isinstance(target, Var):
+        return None
+    if pattern.functor != target.functor or len(pattern.args) != len(target.args):
+        return None
+    for x, y in zip(pattern.args, target.args):
+        subst = match(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def match_atom(pattern: Atom, target: Atom, subst: Dict[str, Term]) -> Optional[Dict[str, Term]]:
+    if pattern.pred != target.pred or pattern.arity != target.arity:
+        return None
+    for x, y in zip(pattern.args, target.args):
+        subst = match(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def reference_theta_subsumes(general: Rule, specific: Rule) -> bool:
+    """Theta-subsumption on the parsed Atoms, the reference for the flat
+    `deduce.theta_subsumes`: some substitution maps general's head onto
+    specific's head and every general body atom into specific's body
+    (order-free); specific's variables are rigid."""
+    subst = match_atom(general.head, specific.head, {})
+    if subst is None:
+        return False
+    body = specific.body
+
+    def search(i: int, subst) -> bool:
+        if i == len(general.body):
+            return True
+        pattern = general.body[i]
+        for target in body:
+            nxt = match_atom(pattern, target, subst)
+            if nxt is not None and search(i + 1, nxt):
+                return True
+        return False
+
+    return search(0, subst)
+
+
+def flat_atom(atom: Atom) -> tuple:
+    """The flat atom the library makes of `atom`, through `deduce.flat_clause`."""
+    return flat_clause(Rule(0, atom))[0]
+
+
+def background_atoms(bg: Background) -> Tuple[List[Rule], List[Atom]]:
+    """The clauses with a body and the facts' heads of `bg.rules`, as parsed:
+    what the Atom-level references read where the library reads the flat
+    `bg.clauses` and `bg.facts`."""
+    return [r for r in bg.rules if not r.is_fact], [r.head for r in bg.rules if r.is_fact]
+
+
 def derives_goal(
     bg: Background,
     extra: Sequence[Rule],
@@ -253,7 +324,7 @@ def same_facts_modulo_variants(a: Sequence[Atom], b: Sequence[Atom]) -> bool:
 
 
 def term_of(t) -> Term:
-    """The Term a flat term encodes (see `deduce.flat_atom`)."""
+    """The Term a flat term encodes (see `deduce.flat_clause`)."""
     if isinstance(t, Var):
         return t
     if isinstance(t, str):

@@ -13,7 +13,6 @@ import pytest
 
 from covkb.deduce import (
     DeriveLimits,
-    flat_atom,
     flat_clause,
     forward_closure,
     general_fires,
@@ -273,8 +272,12 @@ def test_06_family_forgetting_narrative():
 CHECK_LIMITS = DeriveLimits(max_depth=12, max_facts=500_000, max_term_depth=6)
 
 
+def subsumes(a, b):
+    return theta_subsumes(flat_clause(a), skolemize(flat_clause(b)))
+
+
 def equivalent(a, b):
-    return theta_subsumes(a, b) and theta_subsumes(b, a)
+    return subsumes(a, b) and subsumes(b, a)
 
 
 def consolidated_rules(state):
@@ -284,8 +287,8 @@ def consolidated_rules(state):
 def covers_some_negative(rule, negatives, store):
     clause = flat_clause(rule)
     for e in negatives:
-        goal, _ = skolemize(e)
-        if general_fires(clause, flat_atom(goal), store):
+        goal, _ = skolemize(flat_clause(e))
+        if general_fires(clause, goal, store):
             return True
     return False
 

@@ -21,7 +21,6 @@ from covkb.deduce import (
     CoverageOracle,
     DeriveLimits,
     covers,
-    match_atom,
 )
 from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_permanence, compute_table
@@ -32,6 +31,7 @@ from oracles import (
     assert_structure_exact,
     closure,
     graph_from_structure,
+    match_atom,
     node_rule,
     reference_full,
     reference_permanence,

@@ -15,9 +15,8 @@ from covkb.deduce import (
     LimitExceeded,
     VerdictStore,
     covers,
-    flat_atom,
     flat_clause,
-    match_atom,
+    skolemize,
     theta_subsumes,
 )
 from covkb.parser import parse_file, parse_program
@@ -27,8 +26,9 @@ from covkb.rules import (
 
 from conftest import CHESS_DIR, FAMILY_KBR
 from oracles import (
-    ReferenceStore, derives_goal, is_ground, is_variant, reference_add, reference_depth,
-    reference_extend_closure, reference_general_fires, reference_naive_closure, reference_resolve,
+    ReferenceStore, atom_of, background_atoms, derives_goal, flat_atom, is_ground, is_variant,
+    match_atom, reference_add, reference_depth, reference_extend_closure, reference_general_fires,
+    reference_naive_closure, reference_resolve, reference_theta_subsumes,
     same_facts_modulo_variants, stored_atoms, term_of, unify_atoms,
 )
 
@@ -74,33 +74,46 @@ REACH_BG = Background(
 )
 
 
+def subsumes(general, specific):
+    """`deduce.theta_subsumes` on the pair's flat forms, the specific
+    skolemized; the Atom-level reference must agree."""
+    held = theta_subsumes(flat_clause(general), skolemize(flat_clause(specific)))
+    assert held == reference_theta_subsumes(general, specific), (general, specific)
+    return held
+
+
 class TestThetaSubsumption:
     def test_most_general_subsumes_110(self):
-        assert theta_subsumes(with_id(R138, 1), with_id(R110, 2))
+        assert subsumes(with_id(R138, 1), with_id(R110, 2))
 
     def test_no_parent_atom_blocks(self):
-        assert not theta_subsumes(with_id(R138, 1), with_id(R35, 2))
+        assert not subsumes(with_id(R138, 1), with_id(R35, 2))
 
     def test_self_subsumption(self):
-        assert theta_subsumes(with_id(R110, 1), with_id(R110, 2))
+        assert subsumes(with_id(R110, 1), with_id(R110, 2))
 
     def test_35_subsumes_20(self):
-        assert theta_subsumes(with_id(R35, 1), with_id(R20, 2))
+        assert subsumes(with_id(R35, 1), with_id(R20, 2))
 
     def test_ground_head_cannot_generalise(self):
-        assert not theta_subsumes(with_id(R20, 1), with_id(R35, 2))
+        assert not subsumes(with_id(R20, 1), with_id(R35, 2))
 
     def test_shared_variable_names_are_harmless(self):
         a = one("p(X) :- q(X).")
         b = one("p(X) :- q(X), r(X).")
-        assert theta_subsumes(with_id(a, 1), with_id(b, 2))
-        assert not theta_subsumes(with_id(b, 2), with_id(a, 1))
+        assert subsumes(with_id(a, 1), with_id(b, 2))
+        assert not subsumes(with_id(b, 2), with_id(a, 1))
 
     def test_substitution_is_a_function(self):
         # X cannot map to both a and b.
         g = one("p(X,X).")
         s = one("p(a,b).")
-        assert not theta_subsumes(with_id(g, 1), with_id(s, 2))
+        assert not subsumes(with_id(g, 1), with_id(s, 2))
+
+    def test_skolemize_names_variables_by_first_occurrence(self):
+        clause = flat_clause(one("p(Y,f(X)) :- q(X,Y,a), r."))
+        assert skolemize(clause) == (
+            ("p", "$sk0", ("f", "$sk1")), (("q", "$sk1", "$sk0", "a"), ("r",)))
 
 
 class TestDerivesGoal:
@@ -220,14 +233,14 @@ class TestHeadPrefilter:
         return CoverageOracle(REACH_BG, DeriveLimits(max_depth=1))
 
     def test_head_forms(self):
-        atom = one("p(f(X),Y,a) :- q(X).").head
+        atom = flat_atom(one("p(f(X),Y,a) :- q(X).").head)
         assert deduce.head_forms(atom) == (
             ("p", 3, ("f", 1), None, ("a", 0)),
             ("p", 3, ("f", 1), None, None),
             ("p", 3, None, None, ("a", 0)),
             ("p", 3, None, None, None),
         )
-        wide = one("p(a,b,c,d,e).").head
+        wide = flat_atom(one("p(a,b,c,d,e).").head)
         assert len(deduce.head_forms(wide)) == 2 ** deduce.KEY_POSITIONS
 
     def test_incompatible_evidence_pair_derives_nothing(self, closures):
@@ -487,15 +500,16 @@ def numbered(specs, start):
             else Rule(id=start + n, head=s) for n, s in enumerate(specs)]
 
 
-def saturate(extend, store, bg, grown, limits):
+def saturate(extend, parts, store, bg, grown, limits):
     """Saturate `bg` into the empty `store`, then extend by what `grown`
     adds, as an oracle does after a promotion; gives the store and the
-    LimitExceeded message."""
-    added = [r for r in grown.rules if r.id not in bg.rule_ids]
+    LimitExceeded message.  `parts` gives a background's clauses with a
+    body and its facts, in the terms `extend` takes."""
+    added = Background([r for r in grown.rules if r.id not in bg.rule_ids])
+    clauses, facts = parts(bg)
     try:
-        extend(store, bg.clauses, (), bg.facts, limits)
-        extend(store, grown.clauses, [r for r in added if not r.is_fact],
-               [r.head for r in added if r.is_fact], limits)
+        extend(store, clauses, (), facts, limits)
+        extend(store, parts(grown)[0], *parts(added), limits)
     except LimitExceeded as exc:
         return store, str(exc)
     return store, None
@@ -531,14 +545,15 @@ class TestSemiNaiveJoin:
         grown = bg.extended(numbered(added, 100))
         for depth in range(1, max_depth + 1):
             limits = DeriveLimits(depth, max_facts, max_term_depth)
-            store, hit = saturate(deduce.extend_closure, FactStore(), bg, grown, limits)
-            want, want_hit = saturate(reference_extend_closure, ReferenceStore(), bg, grown,
-                                      limits)
+            store, hit = saturate(deduce.extend_closure, lambda b: (b.clauses, b.facts),
+                                  FactStore(), bg, grown, limits)
+            want, want_hit = saturate(reference_extend_closure, background_atoms,
+                                      ReferenceStore(), bg, grown, limits)
             assert hit == want_hit
             assert store.count == want.count
             assert same_facts_modulo_variants(stored_atoms(store), want.atoms())
         goals = [grounded(a, c) for a in goals + stored_atoms(store) for c in ("a", "ab")]
-        for general in grown.clauses:
+        for general in background_atoms(grown)[0]:
             for goal in goals:
                 assert (deduce.general_fires(flat_clause(general), flat_atom(goal), store)
                         == reference_general_fires(general, goal, want)), (general, goal)
@@ -570,16 +585,17 @@ class TestIncrementalFixture:
         base = Background(rules[:-2])
         store = deduce.forward_closure(base, limits=limits)
         want = ReferenceStore()
-        reference_extend_closure(want, base.clauses, (), base.facts, limits)
+        clauses, facts = background_atoms(base)
+        reference_extend_closure(want, clauses, (), facts, limits)
 
         def same():
             return store.count, same_facts_modulo_variants(stored_atoms(store), want.atoms())
 
         seen = [same()]
         for n, queen in enumerate(rules[-2:]):
-            grown = base.clauses + rules[-2:][:n + 1]
-            deduce.extend_closure(store, grown, [queen], [], limits)
-            reference_extend_closure(want, grown, [queen], [], limits)
+            grown = base.extended(rules[-2:][:n + 1])
+            deduce.extend_closure(store, grown.clauses, [flat_clause(queen)], [], limits)
+            reference_extend_closure(want, background_atoms(grown)[0], [queen], [], limits)
             seen.append(same())
         assert seen == [(2576, True), (2800, True), (5040, True)]
 
@@ -596,6 +612,15 @@ class TestBackground:
         assert len(grown) == 2
         shrunk = grown.without_ids([7])
         assert len(shrunk) == 1 and shrunk.fingerprint == bg.fingerprint
+
+    def test_versions_keep_their_rules_clauses(self, family_bg):
+        # extended and without_ids reuse the flat clauses they hold
+        extra = [with_id(one("female(X) :- parent(Y,X)."), 900), with_id(one("k(b)."), 901)]
+        grown = family_bg.extended(extra)
+        shrunk = grown.without_ids([900, family_bg.rules[0].id])
+        for version in (grown, shrunk):
+            fresh = Background(version.rules)
+            assert [vars(version)[k] for k in vars(fresh)] == list(vars(fresh).values())
 
 
 class TestOracle:
@@ -634,35 +659,60 @@ class TestOracle:
 
 @st.composite
 def clause_pairs(draw):
-    """A general and a specific over shared constants and functors: half the
-    time an instance of the general with its body shuffled and grown, so
+    """A general and a specific over shared constants, functors and
+    variable names, with a zero-arity atom among the atoms: half the time
+    an instance of the general with its body shuffled and grown, so
     theta-subsumption holds, otherwise an unrelated clause."""
     names = ("X", "Y", "Z")
-    head, *body = draw(st.lists(atoms(names, 3), min_size=1, max_size=4))
+    atom = atoms(names, 3) | st.just(Atom("r"))
+    head, *body = draw(st.lists(atom, min_size=1, max_size=4))
     general = Rule(1, head, tuple(body))
     if draw(st.booleans()):
         binding = {n: draw(terms(names, 3)) for n in names}
         s_head, *s_body = (substituted(a, binding) for a in general.atoms())
-        s_body += draw(st.lists(atoms(names, 3), max_size=2))
+        s_body += draw(st.lists(atom, max_size=2))
         return general, Rule(2, s_head, tuple(draw(st.permutations(s_body)))), True
-    s_head, *s_body = draw(st.lists(atoms(names, 3), min_size=1, max_size=4))
+    s_head, *s_body = draw(st.lists(atom, min_size=1, max_size=4))
     return general, Rule(2, s_head, tuple(s_body)), False
 
 
+def rule_pair(general, specific, instance):
+    return with_id(one(general), 1), with_id(one(specific), 2), instance
+
+
+class TestOneMatcher:
+    """The flat `theta_subsumes`, on the skolemized specific, against the
+    Atom-level reference in oracles.py."""
+
+    # Repeated variables on either side, the same names on both, nested
+    # compounds, a zero-arity atom, and the constants a and 1.
+    @settings(max_examples=300, deadline=None)
+    @example(rule_pair("p(X,X) :- q(f(X)).", "p(Y,Y) :- q(f(Y)), r.", True))
+    @example(rule_pair("p(X,Y) :- q(X), q(Y).", "p(a,1) :- q(1), q(a).", True))
+    @example(rule_pair("p(X,X).", "p(X,Y).", False))
+    @example(rule_pair("p(X,g(X,Y)) :- r.", "p(1,g(1,f(a))) :- q(a), r.", True))
+    @example(rule_pair("p(X,Y) :- q(g(X,Y)).", "p(Y,X) :- q(g(X,Y)).", False))
+    @given(clause_pairs())
+    def test_flat_search_equals_the_reference(self, pair):
+        general, specific, instance = pair
+        assert subsumes(general, specific) or not instance
+
+
 class TestSubsumptionGate:
-    """`VerdictStore.signature` may only rule out pairs theta-subsumption
-    rejects, and the oracle's subsumption verdicts stay `theta_subsumes`."""
+    """The signature in `VerdictStore.forms` may only rule out pairs
+    theta-subsumption rejects, and the oracle's subsumption verdicts stay
+    the reference's."""
 
     def test_every_fixture_and_synth_pair(self):
         paths = [FAMILY_KBR, *(os.path.join(CHESS_DIR, n) for n in sorted(os.listdir(CHESS_DIR)))]
         rules = [r for path in paths if path.endswith(".kbr") for r in parse_file(path)]
         rules += [r for pool in TestCompiledForms.synth_pool().values() for r in pool]
         rules, verdicts = [with_id(r, i) for i, r in enumerate(rules)], VerdictStore()
-        sigs = [verdicts.signature(canonical_form(r), r) for r in rules]
+        sigs = [verdicts.forms(canonical_form(r), r).signature for r in rules]
         by_head = {}
         for i, r in enumerate(rules):
             by_head.setdefault(r.head.key, []).append(i)
-        # theta_subsumes matches the heads first, so a pair of two head
+        # theta-subsumption matches the heads first, so a pair of two head
         # predicates holds nowhere; every other ordered pair is checked.
         gated = 0
         for group in by_head.values():
@@ -670,7 +720,8 @@ class TestSubsumptionGate:
                 for j in group:
                     if sigs[i] & ~sigs[j]:
                         gated += 1
-                        assert not theta_subsumes(rules[i], rules[j]), (rules[i], rules[j])
+                        assert not reference_theta_subsumes(rules[i], rules[j]), (rules[i],
+                                                                                  rules[j])
         assert gated > 0.9 * sum(len(g) ** 2 for g in by_head.values())
         # the oracle, on the fixture pairs of one head predicate and a sample
         # of the synth candidates; an evidence specific is a firing pair
@@ -680,7 +731,7 @@ class TestSubsumptionGate:
             sample = [rules[i] for i in (group[::10] if key == ("t", 2) else group)]
             for general in sample:
                 for specific in (r for r in sample if r.origin != EVIDENCE):
-                    want = theta_subsumes(general, specific)
+                    want = reference_theta_subsumes(general, specific)
                     held += want and general is not specific
                     assert oracle.covers_pair(general, specific) == want, (general, specific)
         assert held > 100
@@ -690,12 +741,12 @@ class TestSubsumptionGate:
     def test_random_pairs(self, pair):
         general, specific, instance = pair
         verdicts = VerdictStore()
-        held = theta_subsumes(general, specific)
+        held = reference_theta_subsumes(general, specific)
         assert held or not instance
         if held:
-            sig = verdicts.signature
-            assert not sig(canonical_form(general), general) & ~sig(canonical_form(specific),
-                                                                   specific)
+            def sig(rule):
+                return verdicts.forms(canonical_form(rule), rule).signature
+            assert not sig(general) & ~sig(specific)
         oracle = CoverageOracle(Background([]), DeriveLimits(), verdicts=verdicts)
         assert oracle.covers_pair(general, specific) == held
 
@@ -709,7 +760,7 @@ class TestSubsumptionGate:
         assert not oracle.covers_pair(general, with_id(one("p(f(Y)) :- q(f(Y),b)."), 3))
         assert calls == []
         assert oracle.covers_pair(general, with_id(one("p(b) :- q(b,a), r(b)."), 4))
-        assert calls == [general]
+        assert calls == [flat_clause(general)]
 
 
 class TestVerdictStore:
@@ -847,16 +898,17 @@ class TestCompiledForms:
         """Asserts every pair's verdicts; gives the store and covered pairs."""
         store = deduce.forward_closure(bg)
         want = ReferenceStore()
-        reference_extend_closure(want, bg.clauses, (), bg.facts, DeriveLimits())
+        clauses, facts = background_atoms(bg)
+        reference_extend_closure(want, clauses, (), facts, DeriveLimits())
         keys = {r.id: canonical_form(r) for r in [*generals, *specifics]}
         verdicts = VerdictStore()
         oracle = CoverageOracle(bg, DeriveLimits(), keys=keys, verdicts=verdicts)
         covered = 0
         for general in generals:
             for specific in specifics:
-                expected = reference_general_fires(general, deduce.skolemize(specific)[0], want)
-                clause, _, goal = verdicts.forms(keys[general.id], general, keys[specific.id],
-                                                 specific)
+                clause = verdicts.forms(keys[general.id], general).clause
+                goal = verdicts.forms(keys[specific.id], specific).skolemized[0]
+                expected = reference_general_fires(general, atom_of(goal), want)
                 assert deduce.general_fires(clause, goal, store) == expected, (general, specific)
                 assert oracle.covers_pair(general, specific) == expected, (general, specific)
                 covered += expected
@@ -876,8 +928,7 @@ class TestCompiledForms:
             verdicts, covered = self.check(bg, generals, evidence)
             counts.append(covered)
             # the second twin reads the first one's clause
-            ev = evidence[0]
-            first, second = (verdicts.forms(key, t, canonical_form(ev), ev)[0] for t in twins)
+            first, second = (verdicts.forms(key, t).clause for t in twins)
             assert first is second == flat_clause(twins[0])
         assert 0 < counts[0] < counts[1]
 
@@ -901,7 +952,7 @@ class TestCompiledForms:
         pool = self.synth_pool()
         transitive = with_id(one("p0(X,Z) :- p0(X,Y), p0(Y,Z)."), 9_999)
         bg = Background([*pool["background"], transitive])
-        want = reference_naive_closure(bg.clauses, bg.facts, DeriveLimits())
+        want = reference_naive_closure(*background_atoms(bg), DeriveLimits())
         assert len(want.by_pred[("p0", 2)]) > 2 * len(bg.facts) // synth.N_PREDICATES
         assert same_facts_modulo_variants(stored_atoms(deduce.forward_closure(bg)), want.atoms())
         # the generals that read p0 fire against that saturated store

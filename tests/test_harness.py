@@ -295,6 +295,12 @@ class TestCli:
     def test_parse_missing_file(self, capsys):
         assert cli_main(["parse", "/nonexistent.kbr"]) == 1
 
+    def test_parse_too_deep_a_term_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.kbr"
+        deep.write_text("p(" + "f(" * 400 + "a" + ")" * 400 + ").\n")
+        assert cli_main(["parse", str(deep)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1, col ")
+
     def test_parse_directory_exits_1(self, tmp_path, capsys):
         assert cli_main(["parse", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 import pytest
 
-from covkb.parser import ParseError, parse_file, parse_program, scan_classes
+from covkb.parser import MAX_TERM_NESTING, ParseError, parse_file, parse_program, scan_classes
 from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE, Compound, Var
 
 from conftest import FAMILY_KBR
@@ -125,6 +125,18 @@ class TestErrors:
     def test_skolem_namespace_unwritable(self):
         with pytest.raises(ParseError):
             parse_program("p($sk0).")
+
+    def test_term_nesting_is_bounded(self):
+        def nested(levels):  # an argument `levels` deep: f(f(...f(a)...))
+            return "f(" * (levels - 1) + "a" + ")" * (levels - 1)
+
+        (rule,) = parse_program(f"p({nested(MAX_TERM_NESTING)}).")
+        assert rule.head.args[0].functor == "f"
+        for levels in (MAX_TERM_NESTING + 1, 400):
+            with pytest.raises(ParseError, match="nested more than") as err:
+                parse_program(f"q(b).\np({nested(levels)}).")
+            # the position of the first term past the limit
+            assert (err.value.line, err.value.col) == (2, 3 + 2 * MAX_TERM_NESTING)
 
     def test_uppercase_predicate_rejected(self):
         with pytest.raises(ParseError):
