@@ -7,10 +7,13 @@ unique for DAGs and is what the support metrics propagate over.
 Evidence nodes never cover anything, so they are always sinks.
 
 Each node also keeps a bitmask of its strict descendants (bit = node id).
-An insert or removal changes the descendants of its node's ancestors only,
-so it refreshes masks and reduction over that ancestor cone alone.  The
-refresh reads each node's own `full` edges, so it is exact for any
-relation, transitive or not.
+A mutation changes the descendants of its node's ancestors only, so it
+updates masks and reduction over that ancestor cone alone, by delta where
+it can: an insert that closes no cycle adds the new node's descendants to
+each cone node, and a sink's removal clears one bit per ancestor.  Cycle
+repair and an internal node's removal re-derive the cone (`_refresh`)
+from each node's own `full` edges.  Each path is exact for any relation,
+transitive or not.
 
 Each node carries a per-class residual: support inherited from forgotten
 descendants, kept as intrinsic node mass.
@@ -78,19 +81,26 @@ def _cone_order(starts: Iterable[int], edges: Mapping[int, Iterable[int]]) -> Li
     """
     active: Set[int] = set()
     done: Set[int] = set()
-    post, stack = [], [(v, False) for v in starts]
-    while stack:
-        v, leaving = stack.pop()
-        if leaving:
-            active.discard(v)
-            done.add(v)
-            post.append(v)
-        elif v in active:
-            raise GraphError("cycle detected in coverage relation")
-        elif v not in done:
-            active.add(v)
-            stack.append((v, True))
-            stack.extend((w, False) for w in edges.get(v, ()) if w not in done)
+    post: List[int] = []
+    for start in starts:
+        if start in done:
+            continue
+        active.add(start)
+        stack = [(start, iter(edges.get(start, ())))]  # a frame: node, its unread children
+        while stack:
+            v, children = stack[-1]
+            for w in children:
+                if w not in done:
+                    if w in active:
+                        raise GraphError("cycle detected in coverage relation")
+                    active.add(w)
+                    stack.append((w, iter(edges.get(w, ()))))
+                    break
+            else:
+                stack.pop()
+                active.discard(v)
+                done.add(v)
+                post.append(v)
     post.reverse()
     return post
 
@@ -190,8 +200,10 @@ class CoverageGraph:
         # through the new node, among its ancestors: repair drops edges only
         # inside this cone, taken before it.
         cone = set(_cone_order(pairs_in | {rule.id}, self.parents))
-        self._repair_cycle(rule.id, cone)
-        self._refresh(cone)
+        if self._repair_cycle(rule.id, cone):
+            self._refresh(cone)
+        else:
+            self._add_below(rule.id, cone)
 
     def replace_rule(self, rule: Rule) -> None:
         """Swap the stored rule object (protection flips); structure unchanged."""
@@ -207,7 +219,9 @@ class CoverageGraph:
 
         A sink's full contribution (its length, if class-labeled, plus all
         residuals) is split equally over anc(nid); an internal node passes
-        on only its residuals.  With no ancestors the mass is lost.
+        on only its residuals.  With no ancestors the mass is lost.  A sink
+        leaves its ancestors one bit fewer; an internal node's removal
+        re-derives their masks and reductions (`_refresh`).
         """
         if nid not in self.nodes:
             raise GraphError(f"unknown node id {nid}")
@@ -225,10 +239,12 @@ class CoverageGraph:
                 bucket = self.residuals[parent]
                 for label, value in amounts.items():
                     bucket[label] = bucket.get(label, 0.0) + value * share
-        cone = set(_cone_order((nid,), self.parents))
-        cone.discard(nid)  # the strict ancestors: the only nodes that reached nid
+        cone = set(_cone_order(self.parents[nid], self.parents))  # all that reached nid
+        sink = not self.full[nid]
         for u in cone:
             self.full[u].discard(nid)
+            if sink:
+                self.desc[u] ^= 1 << nid  # every strict ancestor has the bit
         self.touched |= self.parents[nid] | self.reduced[nid] | {nid}
         for p in self.parents.pop(nid):
             self.reduced[p].discard(nid)
@@ -244,7 +260,8 @@ class CoverageGraph:
                     del index[key]
         for table in (self.nodes, self.lengths, self.forms, self.residuals, self.full, self.desc):
             del table[nid]
-        self._refresh(cone)
+        if not sink:
+            self._refresh(cone)
 
     # -- internals -----------------------------------------------------------
 
@@ -273,31 +290,60 @@ class CoverageGraph:
         child c of u is kept in the reduction exactly when no other child
         of u reaches it.  A `reduced` set is replaced only when it changes, so
         an untouched node keeps the set order its support was summed in.
-        GraphError if the cone has a cycle.
+        GraphError if the cone has a cycle.  Only cycle repair and internal
+        removals call it; other mutations update by delta.
         """
-        full, desc, reduced, parents = self.full, self.desc, self.reduced, self.parents
-        order = _cone_order(cone, {u: full[u] & cone for u in cone})
+        order = _cone_order(cone, {u: self.full[u] & cone for u in cone})
         for u in reversed(order):
-            children = full[u]
-            redundant = 0
-            for c in children:
-                redundant |= desc[c]
-            kept = {c for c in children if not (1 << c) & redundant}
-            mask = redundant  # a dropped child's bit is already in it
-            for c in kept:
-                mask |= 1 << c
-            desc[u] = mask
-            old = reduced[u]
-            if kept == old:
-                continue
-            for c in old - kept:
-                parents[c].discard(u)
-            for c in kept - old:
-                parents[c].add(u)
-            self.touched.update(old ^ kept, (u,))
-            reduced[u] = kept
+            self._derive(u)
 
-    def _repair_cycle(self, v: int, cone: Set[int]) -> None:
+    def _derive(self, u: int) -> None:
+        """`u`'s mask and reduction from its `full` children's masks."""
+        desc, children = self.desc, self.full[u]
+        redundant = 0
+        for c in children:
+            redundant |= desc[c]
+        kept = {c for c in children if not (1 << c) & redundant}
+        mask = redundant  # a dropped child's bit is already in it
+        for c in kept:
+            mask |= 1 << c
+        desc[u] = mask
+        self._set_reduced(u, kept)
+
+    def _set_reduced(self, u: int, kept: Set[int]) -> None:
+        """Make `kept` u's reduction, unless it holds the same children."""
+        old = self.reduced[u]
+        if kept == old:
+            return
+        for c in old - kept:
+            self.parents[c].discard(u)
+        for c in kept - old:
+            self.parents[c].add(u)
+        self.touched.update(old ^ kept, (u,))
+        self.reduced[u] = kept
+
+    def _add_below(self, v: int, cone: Set[int]) -> None:
+        """Masks and reductions after an insert of `v` that closed no cycle.
+
+        Each other node of the ancestor `cone` gains the descendants `new`
+        and drops the children inside it from its reduction; v joins that
+        of each coverer with no other child in the cone.  A changed set is
+        rebuilt in `full[u]`'s order, as `_derive` builds it, so support
+        sums keep their operand order."""
+        full, desc, reduced = self.full, self.desc, self.reduced
+        self._derive(v)
+        new = desc[v] | 1 << v
+        for u in cone - {v}:
+            mask = desc[u]
+            desc[u] = mask | new
+            old = reduced[u]
+            dropped = {c for c in old if (1 << c) & new} if mask & new else ()
+            joins = v in full[u] and old.isdisjoint(cone)
+            if dropped or joins:
+                self._set_reduced(u, {
+                    c for c in full[u] if c in old and c not in dropped or c == v and joins})
+
+    def _repair_cycle(self, v: int, cone: Set[int]) -> bool:
         """Break the mutual-coverage cycles through the new node `v`.
 
         Mutual coverage means logical equivalence.  The cycles through v
@@ -306,14 +352,14 @@ class CoverageGraph:
         from one of its coverees (`desc`, still the masks from before v
         arrived).  Within it, nodes are ordered by (length, id) and only
         forward edges of that order survive, so the shortest rule plays the
-        generalisation role.
+        generalisation role.  Returns whether v closed a cycle.
         """
         below = 0
         for c in self.full[v]:
             below |= (1 << c) | self.desc[c]
         cycle = [u for u in cone if (1 << u) & below]
         if not cycle:
-            return
+            return False
         cycle.append(v)
         rank = {
             nid: pos
@@ -323,3 +369,4 @@ class CoverageGraph:
             self.full[nid] = {
                 w for w in self.full[nid] if w not in rank or rank[nid] < rank[w]
             }
+        return True

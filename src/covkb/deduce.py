@@ -581,7 +581,9 @@ class VerdictStore:
             for symbol in [_key(a) for a in body] + functors:
                 sig |= 1 << bits.setdefault(symbol, len(bits))
             names = tuple(dict.fromkeys(t.name for t in _terms(body) if type(t) is Var))
-            found = self._forms[key] = Forms(clause, names, skolemize(clause), sig)
+            # A ground clause, such as an evidence fact, is its own skolemization.
+            skolemized = clause if not names and _ground(head) else skolemize(clause)
+            found = self._forms[key] = Forms(clause, names, skolemized, sig)
         return found
 
 

@@ -4,7 +4,7 @@ import itertools
 from collections import defaultdict, deque
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from covkb.covgraph import CoverageGraph, transitive_reduce
+from covkb.covgraph import CoverageGraph, _cone_order, transitive_reduce
 from covkb.deduce import (
     Background, DeriveLimits, FactStore, LimitExceeded, _ground, _key, _shape, _walk, flat_clause,
     forward_closure,
@@ -30,6 +30,22 @@ class _EdgeListOracle:
 
     def record(self, rule: Rule, make):
         return make()  # no records kept: every node computes its own
+
+
+class RefreshingGraph(CoverageGraph):
+    """A CoverageGraph whose every insert and removal re-derives the whole
+    ancestor cone with `_refresh`, never by delta.  Its `reduced` sets, in
+    their iteration order, are what the delta paths must reproduce."""
+
+    def _add_below(self, v, cone):
+        self._refresh(cone)
+
+    def remove_rule(self, nid):
+        # `_refresh` reads no cone node's own mask, so whatever the sink
+        # branch cleared in them is re-derived from scratch here.
+        cone = set(_cone_order(self.parents.get(nid, ()), self.parents))
+        super().remove_rule(nid)
+        self._refresh(cone)
 
 
 def graph_from_structure(

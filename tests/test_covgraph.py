@@ -27,6 +27,7 @@ from covkb.metrics import compute_permanence, compute_table
 from covkb.parser import parse_program
 from covkb.rules import EVIDENCE, Atom, Compound, Rule, Var, canonical_form, rule_length
 from oracles import (
+    RefreshingGraph,
     _EdgeListOracle,
     assert_structure_exact,
     closure,
@@ -464,6 +465,72 @@ class TestLocalUpkeep:
         assert g.desc == {1: 0, 3: 0}
 
 
+def chain_edges(chain):
+    """Each node of `chain` covers the next, and the last covers the first."""
+    return zip(chain, chain[1:] + chain[:1])
+
+
+class TestOrderExactUpkeep:
+    """Acyclic inserts and sink removals are kept by delta; a
+    `RefreshingGraph` re-derives every cone.  Both must hold the same
+    structure, and each `reduced` set the same iteration order, so that
+    every support sum adds the same operands in the same order.  Lengths
+    and residuals that binary floats cannot hold make that order show in
+    the sums."""
+
+    VALUES = (0.1, 0.7, 1.3, 2.9, 3.5)
+    CLASSES = ("+", "-")
+
+    def test_random_relations_match_a_refreshing_graph(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(3, 24)  # ids past 8 share set slots, so order shows
+            density = rng.choice([0.1, 0.2, 0.4])
+            edges = {(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < density}
+            for _ in range(rng.randint(0, 2)):  # cycles of three to five nodes
+                edges.update(chain_edges(rng.sample(range(n), rng.randint(3, min(5, n)))))
+            oracle = _EdgeListOracle(edges)
+            rules = {nid: node_rule(nid, rng.choice([None, None, *self.CLASSES]),
+                                    rng.choice(self.VALUES)) for nid in range(n)}
+            graphs, tables = (CoverageGraph(), RefreshingGraph()), [None, None]
+            absent = list(range(n))
+            for _ in range(4 * n):
+                live = sorted(graphs[0].nodes)
+                roll = rng.random()
+                if absent and (not live or roll < 0.55):
+                    rule = rules[absent.pop(rng.randrange(len(absent)))]
+                    for g in graphs:
+                        g.insert_rule(rule, oracle)
+                elif roll < 0.85:
+                    nid = rng.choice(live)
+                    for g in graphs:
+                        g.remove_rule(nid)
+                    absent.append(nid)  # ids come back
+                else:
+                    nid, label = rng.choice(live), rng.choice(self.CLASSES)
+                    value = rng.choice(self.VALUES)
+                    for g in graphs:
+                        g.set_residual(nid, label, value)
+                self.assert_same(graphs, tables)
+            assert any(not g.full[u] for u in g.nodes)  # sinks were there to remove
+
+    def assert_same(self, graphs, tables):
+        g, ref = graphs
+        assert_structure_exact(g)
+        assert g.full == ref.full
+        assert {u: list(kids) for u, kids in g.reduced.items()} == {
+            u: list(kids) for u, kids in ref.reduced.items()}
+        assert g.desc == ref.desc
+        assert g.parents == ref.parents
+        assert g.touched == ref.touched
+        for i, graph in enumerate(graphs):
+            tables[i] = compute_table(graph, 0.5, self.CLASSES, tables[i], graph.touched)
+            graph.touched = set()
+        assert tables[0].support == tables[1].support  # float ==, row by row
+        assert compute_table(g, 0.5, self.CLASSES).support == tables[0].support
+
+
 # Without the explain phase.  On a copy with a broken rule, a failing run
 # took about 5 minutes and up to 855 MB with it, since its line tracing
 # also slows shrinking, and 25-120 s and at most 131 MB without it.
@@ -481,6 +548,45 @@ class TestMutationInvariants:
     @example([("insert", 8, 0.0), ("insert", 7, 0.0), ("score", 0, 0.0), ("insert", 0, 0.0)])
     def test_random_mutations_keep_derived_state_exact(self, ops):
         self.check(ops)
+
+    @settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
+    @given(st.data())
+    def test_length_ordered_chains_close_long_cycles(self, data):
+        # Each drawn chain is a cycle of three to five nodes, longer along
+        # it, so repair cuts the edge from its longest node back to its
+        # first.  Unless the insert that closes the cycle is of the longest
+        # node, the new node reaches that edge's ends only through its
+        # coverees' descendants, so repair must read their masks.
+        sizes = data.draw(st.lists(st.integers(3, 5), min_size=1, max_size=3))
+        ids = data.draw(st.permutations(range(sum(sizes))))
+        edges, rules, start = set(), {}, 0
+        for size in sizes:
+            chain = ids[start:start + size]
+            start += size
+            edges.update(chain_edges(chain))
+            rules.update((nid, node_rule(nid, None, 1.0 + pos)) for pos, nid in enumerate(chain))
+        # Extra edges run forward in (length, id) order, so every edge a
+        # global pass would cut closes a chain, and repair must cut it too.
+        rank = {nid: (rules[nid].length_override, nid) for nid in ids}
+        extra = data.draw(st.sets(st.tuples(*[st.sampled_from(ids)] * 2), max_size=4))
+        edges.update((u, v) for u, v in extra if rank[u] < rank[v])
+        oracle = _EdgeListOracle(edges)
+        g = CoverageGraph()
+        churn = data.draw(st.lists(st.integers(0, 100), max_size=12))
+        removed = False
+        for nid in [*data.draw(st.permutations(ids)), *churn]:
+            if nid in g.nodes:
+                g.remove_rule(nid)
+                removed = True
+            elif nid in rules:
+                g.insert_rule(rules[nid], oracle)
+            else:
+                continue
+            assert sorted(_cone_order(sorted(g.nodes), g.full)) == sorted(g.nodes)
+            assert_structure_exact(g)
+            # A cut edge stays cut when a removal opens its cycle, so the
+            # global pass is the reference only until the first removal.
+            assert removed or reference_full(g.nodes.values(), oracle) == g.full
 
     def check(self, ops):
         # The drawn ops decide when to score, so mutations pile up between
