@@ -222,6 +222,11 @@ class CoverageGraph:
         on only its residuals.  With no ancestors the mass is lost.  A sink
         leaves its ancestors one bit fewer; an internal node's removal
         re-derives their masks and reductions (`_refresh`).
+
+        Edges cut by cycle repair stay cut: rule-rule verdicts are transitive
+        (theta-subsumption), so a repaired cycle is a set of equivalent rules
+        whose forward edges relate every remaining pair.  A non-transitive
+        verdict (one a budget cut off) would lose an edge here.
         """
         if nid not in self.nodes:
             raise GraphError(f"unknown node id {nid}")

@@ -7,12 +7,13 @@ relative to the config file.  The config dataclasses check their own
 values, and a bad line raises ConfigError naming the file and the line.
 
 Reproducibility: one PCG64 generator per run, seeded from the scenario
-seed.  Per step the draw order is fixed: the evidence count, then that
-many uniform pool indices, then the rule count, then its indices.  Grid
-cells derive their seed by feeding (base seed, capacity, round(fraction *
-1e6), repetition) into SeedSequence.  Both are numpy-compatible
-(`numpy.random.default_rng` and `numpy.random.SeedSequence` draw the same
-values), implemented in `covkb.rng` and pinned by tests/test_rng.py.
+seed, drives `_steps`, the one arrival loop; `run_scenario` writes
+steps.csv and state.snapshot from its StepLogs, grid cells only drain it.
+Grid cells derive their seed by feeding (base seed, capacity,
+round(fraction * 1e6), repetition) into SeedSequence.  Both are
+numpy-compatible (`numpy.random.default_rng` and
+`numpy.random.SeedSequence` draw the same values), implemented in
+`covkb.rng` and pinned by tests/test_rng.py.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .covgraph import CoverageGraph
 from .deduce import DeriveLimits, VerdictStore
@@ -77,8 +78,9 @@ class ScenarioConfig:
     phases: Tuple[PhaseConfig, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.arrival_p <= 1.0:
-            raise ValueError("arrival_p must lie in (0, 1]")
+        # The largest geometric draw is about 36.7 / arrival_p arrivals.
+        if not 1e-3 <= self.arrival_p <= 1.0:
+            raise ValueError("arrival_p must lie in [0.001, 1]")
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0 (0 means unbounded)")
         if self.seed < 0:
@@ -349,9 +351,9 @@ def build_oneshot_state(cfg: ScenarioConfig) -> KnowledgeState:
     This is what the `graph` and `metrics` commands operate on.
     """
     state = build_state(cfg)
-    for phase in cfg.phases:
-        state.ingest(_load_pool(phase.evidence, EVIDENCE))
-        state.ingest(_load_pool(phase.candidates, CANDIDATE))
+    for evidence, candidates in _phase_pools(cfg):
+        state.ingest(evidence)
+        state.ingest(candidates)
     state.ensure_metrics()
     return state
 
@@ -370,54 +372,44 @@ def sample_geometric(rng: PCG64, p: float) -> int:
     return int(math.floor(math.log1p(-u) / math.log1p(-p))) + 1
 
 
+def _steps(
+    cfg: ScenarioConfig, state: KnowledgeState, pools: Pools, rng: PCG64
+) -> Iterator[StepLog]:
+    """Yield each step's log, keeping none.  Per step and non-empty pool
+    (evidence, then candidates) `rng` draws the arrival count, then that
+    many pool indices; a run's position is `state.step_count` and `rng`."""
+    for phase, phase_pools in zip(cfg.phases, pools):
+        for _ in range(phase.steps):
+            arrivals = [pool[rng.integers(0, len(pool))]
+                        for pool in phase_pools if pool
+                        for _ in range(sample_geometric(rng, cfg.arrival_p))]
+            yield state.step(arrivals)
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> Tuple[List[StepLog], KnowledgeState]:
-    """Run the arrival simulation; optionally stream steps.csv as it goes.
+    """Run the simulation; with `out_dir`, stream steps.csv, then write state.snapshot.
 
     `seed` overrides `cfg.seed` (ValueError if out of range).
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     state = build_state(cfg)
-    pools = _phase_pools(cfg)
-    return _simulate(cfg, state, pools, cfg.seed, out_dir)
-
-
-def _simulate(
-    cfg: ScenarioConfig, state: KnowledgeState, pools: Pools, seed: int, out_dir=None
-) -> Tuple[List[StepLog], KnowledgeState]:
-    rng = PCG64(seed)
-    logs: List[StepLog] = []
-    writer = None
-    fh = None
-    if out_dir is not None:
-        make_out_dir(out_dir)
-        fh = open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8", newline="")
+    steps = _steps(cfg, state, _phase_pools(cfg), PCG64(cfg.seed))
+    if out_dir is None:
+        return list(steps), state
+    make_out_dir(out_dir)
+    logs = []
+    with open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(step_csv_header(state.classes))
-    try:
-        for phase_idx, phase in enumerate(cfg.phases):
-            evidence_pool, candidate_pool = pools[phase_idx]
-            for _ in range(phase.steps):
-                arrivals: List[Rule] = []
-                for pool in (evidence_pool, candidate_pool):
-                    if not pool:
-                        continue
-                    k = sample_geometric(rng, cfg.arrival_p)
-                    for _ in range(k):
-                        arrivals.append(pool[rng.integers(0, len(pool))])
-                log = state.step(arrivals)
-                logs.append(log)
-                if writer is not None:
-                    writer.writerow(step_csv_row(log, state.classes))
-    finally:
-        if fh is not None:
-            fh.close()
-    if out_dir is not None:
-        write_snapshot(state, os.path.join(out_dir, "state.snapshot"))
+        for log in steps:
+            logs.append(log)
+            writer.writerow(step_csv_row(log, state.classes))
+    write_snapshot(state, os.path.join(out_dir, "state.snapshot"))
     return logs, state
 
 
@@ -446,7 +438,9 @@ def _grid_cells(
         try:
             cfg = _cell_config(grid.base, cap, frac)
             state = _new_state(cfg, classes, b0, verdicts)
-            _simulate(cfg, state, pools, derive_cell_seed(grid.base_seed, cap, frac, rep))
+            rng = PCG64(derive_cell_seed(grid.base_seed, cap, frac, rep))
+            for _ in _steps(cfg, state, pools, rng):  # drained: a cell writes nothing
+                pass
         except Exception as exc:  # recorded, grid continues
             results.append((cap, frac, rep, None, f"{type(exc).__name__}: {exc}"))
             continue

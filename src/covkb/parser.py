@@ -12,8 +12,8 @@ File grammar:
 Directives are line-oriented; clauses may span lines.  A term nests at
 most MAX_TERM_NESTING deep, so a deeper one is a ParseError with its
 position, not a blown Python stack.  `$` is not a legal token character,
-which keeps the internal skolem namespace (`$sk<n>`) unwritable from
-user input.
+which keeps internal names unwritable from user input: skolem constants
+(`$sk<n>`), and each `_`, a variable of its own (`_$<line>_<col>`).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class _ClauseParser:
             raise ParseError(f"term nested more than {MAX_TERM_NESTING} deep", tok.line, tok.col)
         if tok.kind == "VAR":
             self.i += 1
-            return Var(tok.text)
+            return Var(f"_${tok.line}_{tok.col}" if tok.text == "_" else tok.text)
         if tok.kind == "INT":
             self.i += 1
             return Compound(tok.text)

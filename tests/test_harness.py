@@ -20,6 +20,7 @@ from covkb.harness import (
     sample_geometric,
     step_csv_header,
 )
+from covkb.lifecycle import KnowledgeState
 from covkb.metrics import compute_table
 from covkb.rng import PCG64
 from covkb.rules import canonical_form, rule_length
@@ -148,6 +149,22 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_scenario(cfg, out_dir=str(tmp_path), seed=-1)
         assert not (tmp_path / "steps.csv").exists()
+
+    def test_step_error_keeps_earlier_rows_and_writes_no_snapshot(self, tmp_path, monkeypatch):
+        step = KnowledgeState.step
+
+        def third_step_fails(state, arrivals):
+            if state.step_count == 2:
+                raise RuntimeError("step 3 fails")
+            return step(state, arrivals)
+
+        monkeypatch.setattr(KnowledgeState, "step", third_step_fails)
+        with pytest.raises(RuntimeError, match="step 3 fails"):
+            run_scenario(load_scenario(FAMILY_SCN), out_dir=str(tmp_path))
+        header, *rows = (tmp_path / "steps.csv").read_text().splitlines()
+        assert header.startswith("step,arrivals_examples,")
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
+        assert not (tmp_path / "state.snapshot").exists()
 
     def test_header_contract(self):
         head = step_csv_header(("+", "-"))
@@ -284,6 +301,31 @@ class TestGrid:
         rows, failures = run_grid(small, jobs=1)
         assert len(failures) == 1 and "fraction=1.5" in failures[0]
         assert rows and {frac for _, frac, _, _ in rows} == {0.5}
+
+    def failing_step(self, monkeypatch, exc_type):
+        """Make the fourth step of each capacity-20 cell raise `exc_type`."""
+        step = KnowledgeState.step
+
+        def fail_at_capacity_20(state, arrivals):
+            if state.capacity == 20 and state.step_count == 3:
+                raise exc_type("cell step fails")
+            return step(state, arrivals)
+
+        monkeypatch.setattr(KnowledgeState, "step", fail_at_capacity_20)
+
+    def test_step_error_is_recorded_as_the_cells_failure(self, monkeypatch):
+        self.failing_step(monkeypatch, RuntimeError)
+        rows, failures = run_grid(self.small_grid(20, capacities=(20, 30), fractions=(0.5,)))
+        assert failures == ["capacity=20 fraction=0.5 rep=0: RuntimeError: cell step fails"]
+        assert rows and {cap for cap, _, _, _ in rows} == {30}
+
+    def test_base_exception_from_a_step_escapes_the_grid(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        self.failing_step(monkeypatch, Stop)
+        with pytest.raises(Stop):
+            run_grid(self.small_grid(20, capacities=(20, 30), fractions=(0.5,)))
 
 
 class TestCli:
@@ -500,7 +542,7 @@ class TestCli:
             *(("scn", line) for line in (
                 "beta = 2", "forget_fraction = 0", "capacity = -1", "max_depth = 0",
                 "max_facts = -1", "max_term_depth = 0", "seed = -1", "capacity = x",
-                "arrival_p = 0", "theta_p_mode = fixed:",
+                "arrival_p = 0", "arrival_p = 1e-300", "theta_p_mode = fixed:",
                 # each coverage pair kind has one fixed semantics, so no key picks one
                 "rule_rule_coverage = subsumption", "rule_evidence_coverage = derivation",
             )),

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+from covkb.deduce import Background, covers
 from covkb.parser import MAX_TERM_NESTING, ParseError, parse_file, parse_program, scan_classes
-from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE, Compound, Var
+from covkb.rules import BACKGROUND, CANDIDATE, EVIDENCE, Compound, Var, canonical_form
 
 from conftest import FAMILY_KBR
 
@@ -33,6 +36,18 @@ def test_nested_compound_terms():
 def test_variables_and_integers():
     (r,) = parse_program("p(X, _g, 12).")
     assert r.head.args == (Var("X"), Var("_g"), Compound("12"))
+
+
+def test_each_underscore_is_its_own_variable():
+    anonymous, named = parse_program("p(_, _) :- q(_). p(_x, _x) :- q(_x).")
+    assert canonical_form(anonymous) == "p(V0,V1) :- q(V2)."
+    assert canonical_form(named) == "p(V0,V0) :- q(V0)."
+
+
+def test_anonymous_variables_match_different_terms():
+    (general,) = parse_program("p(_,_).")
+    (fact,) = parse_program("#classes +\n#evidence +\np(a,b).")
+    assert covers(Background([]), general, replace(fact, id=2))
 
 
 def test_ids_sequential_in_file_order():
